@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import json
 import os
 import sys
@@ -17,7 +18,7 @@ from pathlib import Path
 from typing import Any, Callable, Sequence
 
 from .engine import EngineConfig, run_batch, write_run_file, write_trace_file
-from .errors import ConfigError, SmrError
+from .errors import ConfigError, SmrError, TraceFormatError
 from .evalx import (
     DEFAULT_METRICS,
     METRIC_KEYS,
@@ -26,7 +27,7 @@ from .evalx import (
     load_qrels,
     load_run_records,
 )
-from .llm import ChatBackend, ChatRequest, HttpBackend, HttpEmbedder, ScriptedBackend, chat
+from .llm import ChatBackend, ChatRequest, HttpBackend, HttpEmbedder, ScriptedBackend
 from .policy import PolicyConfig
 from .retrieval import (
     Bm25Retriever,
@@ -38,13 +39,20 @@ from .retrieval import (
     load_index,
     save_index,
 )
+from .records import iter_jsonl, iter_traces, open_input
 
 DEFAULT_API_KEY_ENV = "SMR_API_KEY"
 
 
-def _resolve(path: str, base: Path) -> str:
-    p = Path(path)
-    return str(p if p.is_absolute() else base / p)
+def _config_str(block: dict, key: str, where: str, base: Path | None = None) -> str:
+    """block[key], which must be a string; given a base, a path resolved against it."""
+    value = block.get(key)
+    if not isinstance(value, str):
+        raise ConfigError(f"{where}.{key} must be a string")
+    if base is None:
+        return value
+    path = Path(value)
+    return str(path if path.is_absolute() else base / path)
 
 
 def _check_keys(block: dict, allowed: set[str], where: str) -> None:
@@ -58,80 +66,38 @@ def load_queries(path: str) -> list[tuple[str, str]]:
 
     Plain-text queries get their zero-based position as the id.
     """
-    with open(path, encoding="utf-8") as fh:
-        lines = fh.readlines()
-    content = [line.rstrip("\n") for line in lines]
-    first = next((line for line in content if line.strip()), None)
-    if first is None:
-        raise ConfigError(f"{path}: queries file is empty")
-    jsonl = False
-    try:
-        jsonl = isinstance(json.loads(first), dict)
-    except json.JSONDecodeError:
-        jsonl = False
-    queries: list[tuple[str, str]] = []
-    if jsonl:
-        for lineno, line in enumerate(content, start=1):
-            if not line.strip():
-                continue
-            try:
-                record = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise ConfigError(f"{path}: line {lineno}: invalid JSON ({exc.msg})")
-            if not isinstance(record, dict) or "query_id" not in record or "text" not in record:
-                raise ConfigError(f"{path}: line {lineno}: expected an object with query_id and text")
-            text = record["text"]
+    with open_input(path, "queries", ConfigError) as fh:
+        first = next((line for line in fh if not line.isspace()), None)
+        if first is None:
+            raise ConfigError(f"{path}: queries file is empty")
+        try:
+            jsonl = isinstance(json.loads(first), dict)
+        except json.JSONDecodeError:
+            jsonl = False
+        fh.seek(0)
+        if not jsonl:
+            texts = [line.strip() for line in fh if not line.isspace()]
+            return [(str(position), text) for position, text in enumerate(texts)]
+        queries: list[tuple[str, str]] = []
+        seen: set[str] = set()
+        for lineno, record in iter_jsonl(fh, path, ConfigError, frozenset({"query_id", "text"})):
+            query_id, text = str(record["query_id"]), record["text"]
             if not isinstance(text, str) or not text.strip():
                 raise ConfigError(f"{path}: line {lineno}: text must be a non-empty string")
-            queries.append((str(record["query_id"]), text))
-    else:
-        position = 0
-        for line in content:
-            if not line.strip():
-                continue
-            queries.append((str(position), line.strip()))
-            position += 1
-    seen: set[str] = set()
-    for query_id, _ in queries:
-        if query_id in seen:
-            raise ConfigError(f"{path}: duplicate query_id {query_id!r}")
-        seen.add(query_id)
+            if query_id in seen:
+                raise ConfigError(f"{path}: line {lineno}: duplicate query_id {query_id!r}")
+            seen.add(query_id)
+            queries.append((query_id, text))
     return queries
 
 
-def _parse_policy_config(block: dict, base: Path) -> PolicyConfig:
-    _check_keys(
-        block,
-        {
-            "base_temperature",
-            "temperature_increment",
-            "max_attempts",
-            "doc_snippet_chars",
-            "max_output_tokens",
-            "prompt_path",
-        },
-        "engine.policy",
-    )
-    kwargs: dict[str, Any] = dict(block)
-    if kwargs.get("prompt_path"):
-        kwargs["prompt_path"] = _resolve(kwargs["prompt_path"], base)
+def _build(cls: type, block: dict, where: str) -> Any:
+    """cls(**block), with unknown keys and invalid values raised as ConfigError."""
+    _check_keys(block, {f.name for f in dataclasses.fields(cls)}, where)
     try:
-        return PolicyConfig(**kwargs)
+        return cls(**block)
     except (TypeError, ValueError) as exc:
-        raise ConfigError(f"engine.policy: {exc}")
-
-
-def _parse_engine_config(block: dict, base: Path) -> EngineConfig:
-    _check_keys(block, {"k", "max_steps", "batch_size", "max_list_size", "policy"}, "engine")
-    kwargs: dict[str, Any] = {key: value for key, value in block.items() if key != "policy"}
-    if "policy" in block:
-        if not isinstance(block["policy"], dict):
-            raise ConfigError("engine.policy must be an object")
-        kwargs["policy"] = _parse_policy_config(block["policy"], base)
-    try:
-        return EngineConfig(**kwargs)
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"engine: {exc}")
+        raise ConfigError(f"{where}: {exc}") from None
 
 
 def _require_env(var: str) -> str:
@@ -145,16 +111,19 @@ class RunPlan:
     """Everything cmd_run needs, validated up front."""
 
     def __init__(self, config_path: str):
-        base = Path(config_path).resolve().parent
-        try:
-            with open(config_path, encoding="utf-8") as fh:
+        with open_input(config_path, "config", ConfigError) as fh:
+            try:
                 raw = json.load(fh)
-        except FileNotFoundError:
-            raise ConfigError(f"config file not found: {config_path}")
-        except json.JSONDecodeError as exc:
-            raise ConfigError(f"{config_path}: invalid JSON ({exc.msg})")
+            except json.JSONDecodeError as exc:
+                raise ConfigError(f"{config_path}: invalid JSON ({exc.msg})") from None
+        try:
+            self._parse(raw, Path(config_path).resolve().parent)
+        except ConfigError as exc:
+            raise ConfigError(f"{config_path}: {exc}") from None
+
+    def _parse(self, raw: Any, base: Path) -> None:
         if not isinstance(raw, dict):
-            raise ConfigError(f"{config_path}: config must be a JSON object")
+            raise ConfigError("config must be a JSON object")
         _check_keys(raw, {"retriever", "llm", "engine", "paths"}, "config")
         for section in ("retriever", "llm", "paths"):
             if section not in raw or not isinstance(raw[section], dict):
@@ -162,17 +131,18 @@ class RunPlan:
 
         paths = raw["paths"]
         _check_keys(paths, {"queries", "run", "trace"}, "paths")
-        for key in ("queries", "run", "trace"):
-            if not isinstance(paths.get(key), str):
-                raise ConfigError(f"paths.{key} must be a string")
-        self.queries_path = _resolve(paths["queries"], base)
-        self.run_path = _resolve(paths["run"], base)
-        self.trace_path = _resolve(paths["trace"], base)
+        self.queries_path = _config_str(paths, "queries", "paths", base)
+        self.run_path = _config_str(paths, "run", "paths", base)
+        self.trace_path = _config_str(paths, "trace", "paths", base)
 
-        engine_block = raw.get("engine", {})
-        if not isinstance(engine_block, dict):
-            raise ConfigError("engine must be an object")
-        self.engine = _parse_engine_config(engine_block, base)
+        engine = raw.get("engine", {})
+        if not isinstance(engine, dict) or not isinstance(engine.get("policy", {}), dict):
+            raise ConfigError("engine and engine.policy must be objects")
+        policy = dict(engine.get("policy", {}))
+        if policy.get("prompt_path") is not None:
+            policy["prompt_path"] = _config_str(policy, "prompt_path", "engine.policy", base)
+        policy_config = _build(PolicyConfig, policy, "engine.policy")
+        self.engine = _build(EngineConfig, {**engine, "policy": policy_config}, "engine")
 
         retriever = raw["retriever"]
         modes = [key for key in ("bm25_index", "dense_store") if key in retriever]
@@ -181,21 +151,20 @@ class RunPlan:
         self.retriever_mode = modes[0]
         if self.retriever_mode == "bm25_index":
             _check_keys(retriever, {"bm25_index"}, "retriever")
-            self.index_path = _resolve(retriever["bm25_index"], base)
+            self.index_path = _config_str(retriever, "bm25_index", "retriever", base)
         else:
             _check_keys(
                 retriever,
                 {"dense_store", "corpus", "embed_endpoint", "embed_model", "api_key_env"},
                 "retriever",
             )
-            for key in ("corpus", "embed_endpoint", "embed_model"):
-                if not isinstance(retriever.get(key), str):
-                    raise ConfigError(f"dense retriever needs retriever.{key}")
-            self.dense_store_path = _resolve(retriever["dense_store"], base)
-            self.dense_corpus_path = _resolve(retriever["corpus"], base)
-            self.embed_endpoint = retriever["embed_endpoint"]
-            self.embed_model = retriever["embed_model"]
-            self.embed_api_key_env = retriever.get("api_key_env")
+            self.dense_store_path = _config_str(retriever, "dense_store", "retriever", base)
+            self.dense_corpus_path = _config_str(retriever, "corpus", "retriever", base)
+            self.embed_endpoint = _config_str(retriever, "embed_endpoint", "retriever")
+            self.embed_model = _config_str(retriever, "embed_model", "retriever")
+            self.embed_api_key_env = (
+                _config_str(retriever, "api_key_env", "retriever") if "api_key_env" in retriever else None
+            )
 
         llm_block = raw["llm"]
         llm_modes = [key for key in ("endpoint", "script") if key in llm_block]
@@ -204,27 +173,25 @@ class RunPlan:
         self.llm_mode = llm_modes[0]
         if self.llm_mode == "endpoint":
             _check_keys(llm_block, {"endpoint", "model", "api_key_env"}, "llm")
-            if not isinstance(llm_block.get("model"), str):
-                raise ConfigError("llm.model must be a string")
-            self.endpoint = llm_block["endpoint"]
-            self.model = llm_block["model"]
-            self.api_key_env = llm_block.get("api_key_env", DEFAULT_API_KEY_ENV)
+            self.endpoint = _config_str(llm_block, "endpoint", "llm")
+            self.model = _config_str(llm_block, "model", "llm")
+            self.api_key_env = (
+                _config_str(llm_block, "api_key_env", "llm") if "api_key_env" in llm_block else DEFAULT_API_KEY_ENV
+            )
         else:
             _check_keys(llm_block, {"script"}, "llm")
-            self.script_path = _resolve(llm_block["script"], base)
+            self.script_path = _config_str(llm_block, "script", "llm", base)
 
     def build_backend_factory(self) -> Callable[[str], ChatBackend]:
         if self.llm_mode == "endpoint":
             key = _require_env(self.api_key_env)
             endpoint, model = self.endpoint, self.model
             return lambda _query_id: HttpBackend(endpoint, model, api_key=key)
-        try:
-            with open(self.script_path, encoding="utf-8") as fh:
+        with open_input(self.script_path, "script", ConfigError) as fh:
+            try:
                 script = json.load(fh)
-        except FileNotFoundError:
-            raise ConfigError(f"script file not found: {self.script_path}")
-        except json.JSONDecodeError as exc:
-            raise ConfigError(f"{self.script_path}: invalid JSON ({exc.msg})")
+            except json.JSONDecodeError as exc:
+                raise ConfigError(f"{self.script_path}: invalid JSON ({exc.msg})") from None
 
         def check_steps(steps: Any, where: str) -> list[str]:
             if not isinstance(steps, list) or not all(isinstance(s, str) for s in steps):
@@ -252,7 +219,7 @@ class RunPlan:
         if self.llm_mode != "endpoint":
             return
         backend = HttpBackend(self.endpoint, self.model, api_key=_require_env(self.api_key_env))
-        chat(backend, ChatRequest(system_text="", user_text="ping", temperature=0.0, max_output_tokens=1))
+        backend.complete(ChatRequest(system_text="", user_text="ping", temperature=0.0, max_output_tokens=1))
 
     def build_retriever(self) -> Retriever:
         if self.retriever_mode == "bm25_index":
@@ -276,22 +243,11 @@ def cmd_index(args: argparse.Namespace) -> int:
 
 def cmd_run(args: argparse.Namespace) -> int:
     plan = RunPlan(args.config)
-    overrides = {}
-    if args.max_steps is not None:
-        overrides["max_steps"] = args.max_steps
-    if args.k is not None:
-        overrides["k"] = args.k
-    if args.batch_size is not None:
-        overrides["batch_size"] = args.batch_size
-    engine_cfg = plan.engine
-    if overrides:
-        engine_cfg = EngineConfig(
-            k=overrides.get("k", engine_cfg.k),
-            max_steps=overrides.get("max_steps", engine_cfg.max_steps),
-            batch_size=overrides.get("batch_size", engine_cfg.batch_size),
-            max_list_size=engine_cfg.max_list_size,
-            policy=engine_cfg.policy,
-        )
+    overrides = {key: value for key in ("max_steps", "k", "batch_size") if (value := getattr(args, key)) is not None}
+    try:
+        engine_cfg = dataclasses.replace(plan.engine, **overrides)
+    except ValueError as exc:
+        raise ConfigError(f"engine: {exc}") from None
     # Fail fast on a dead endpoint before any query is consumed.
     plan.preflight()
     factory = plan.build_backend_factory()
@@ -310,20 +266,17 @@ def cmd_run(args: argparse.Namespace) -> int:
     total_tokens = 0
     failures = 0
     for result in results:
-        if result.error is not None:
+        trajectory = result.trajectory
+        if trajectory is None:
             failures += 1
             print(f"{result.query_id}\tfailed\t{result.error}")
             continue
-        trajectory = result.trajectory
-        assert trajectory is not None
         total_tokens += trajectory.total_output_tokens
         print(
             f"{result.query_id}\t{trajectory.stop_cause.value}"
             f"\tsteps={trajectory.step_count}\ttokens={trajectory.total_output_tokens}"
         )
-    print(
-        f"ran {len(results)} queries ({failures} failed), total output tokens {total_tokens}"
-    )
+    print(f"ran {len(results)} queries ({failures} failed), total output tokens {total_tokens}")
     print(f"run -> {plan.run_path}")
     print(f"trace -> {plan.trace_path}")
     return 1 if failures == len(results) and results else 0
@@ -338,7 +291,7 @@ def cmd_eval(args: argparse.Namespace) -> int:
     qrels = load_qrels(args.qrels)
     analytics = None
     if args.trace:
-        with open(args.trace, encoding="utf-8") as fh:
+        with open_input(args.trace, "trace", TraceFormatError) as fh:
             analytics = analyze_traces(fh, name=args.trace)
     report = build_report(records, qrels, metrics=metrics, analytics=analytics)
 
@@ -372,52 +325,35 @@ def cmd_eval(args: argparse.Namespace) -> int:
 
 
 def cmd_inspect(args: argparse.Namespace) -> int:
-    with open(args.trace, encoding="utf-8") as fh:
-        lines = fh.readlines()
-    transitions: list[dict] = []
-    summary: dict | None = None
-    error: str | None = None
+    found = None
     available: list[str] = []
-    for line in lines:
-        if not line.strip():
-            continue
-        record = json.loads(line)
-        query_id = str(record.get("query_id"))
-        if query_id not in available:
-            available.append(query_id)
-        if query_id != args.query_id:
-            continue
-        if "error" in record:
-            error = record["error"]
-        elif "action" in record:
-            transitions.append(record)
-        else:
-            summary = record
-    if not transitions and summary is None and error is None:
-        print(
-            f"query id {args.query_id!r} not found in {args.trace}; "
-            f"available: {', '.join(available) if available else '(none)'}",
-            file=sys.stderr,
-        )
+    with open_input(args.trace, "trace", TraceFormatError) as fh:
+        for trace in iter_traces(fh, args.trace):
+            available.append(trace.query_id)
+            if trace.query_id == args.query_id:
+                found = trace
+    if found is None:
+        listed = ", ".join(available) or "(none)"
+        print(f"query id {args.query_id!r} not found in {args.trace}; available: {listed}", file=sys.stderr)
         return 1
-    if error is not None:
-        print(f"query {args.query_id}: failed: {error}")
+    if found.error is not None:
+        print(f"query {args.query_id}: failed: {found.error}")
         return 0
-    header = f"query {args.query_id}"
-    if summary:
-        header += f": {summary['steps']} steps, stop cause: {summary['stop_cause']}"
-    print(header)
-    for record in transitions:
+    summary = found.summary
+    assert summary is not None
+    print(f"query {args.query_id}: {summary['steps']} steps, stop cause: {summary.get('stop_cause')}")
+    for record in found.transitions:
         print(
             f"\nstep {record['step']}  {record['action']}"
-            f"  temperature={record['temperature']}  output_tokens={record['output_tokens']}"
+            f"  temperature={record.get('temperature')}  output_tokens={record.get('output_tokens')}"
         )
-        print(f"  query: {record['query']}")
-        print(f"  docs:  {', '.join(record['doc_ids']) if record['doc_ids'] else '(empty)'}")
+        print(f"  query: {record.get('query')}")
+        doc_ids = record.get("doc_ids")
+        docs = ", ".join(map(str, doc_ids)) if isinstance(doc_ids, list) else ""
+        print(f"  docs:  {docs or '(empty)'}")
         if record.get("reason"):
             print(f"  reason: {record['reason']}")
-    if summary:
-        print(f"\ntotal output tokens: {summary['output_tokens']}")
+    print(f"\ntotal output tokens: {summary['output_tokens']}")
     return 0
 
 

@@ -5,12 +5,12 @@ policy for one action.  It terminates on exactly one of four causes: the
 policy said stop, the policy fell back to stop after repeated malformed
 output, an executed action changed nothing (equivalence), or the step cap
 was reached.  Every decision is recorded; output files contain no wall
-clock, so identical inputs produce byte-identical runs.
+clock, so identical inputs produce byte-identical runs.  The record
+shapes themselves live in records.py.
 """
 
 from __future__ import annotations
 
-import json
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Callable, Sequence, TextIO
@@ -26,6 +26,7 @@ from .core import (
 )
 from .llm import ChatBackend
 from .policy import PolicyConfig, decide
+from .records import emit_run_record, emit_trace
 from .retrieval import Retriever
 
 
@@ -137,65 +138,6 @@ def run_batch(
         return []
     with ThreadPoolExecutor(max_workers=cfg.batch_size) as pool:
         return list(pool.map(one, range(len(queries))))
-
-
-def _dump(record: dict) -> str:
-    return json.dumps(record, ensure_ascii=False, separators=(",", ":"))
-
-
-def emit_trace(result: TrajectoryResult, sink: TextIO) -> None:
-    """Write one query's trace: a line per transition, then a summary line.
-
-    Transition lines carry the post-decision query and document order;
-    the final transition also carries the stop cause.  Failed entries
-    produce a single error line instead.
-    """
-    if result.error is not None:
-        sink.write(_dump({"query_id": result.query_id, "error": result.error}) + "\n")
-        return
-    trajectory = result.trajectory
-    assert trajectory is not None
-    transitions = trajectory.transitions
-    for position, tr in enumerate(transitions, start=1):
-        record = {
-            "query_id": result.query_id,
-            "step": position,
-            "action": tr.decision.action.value,
-            "query": tr.post_state.query,
-            "doc_ids": list(tr.post_state.docs.entries),
-            "reason": tr.decision.reason,
-            "output_tokens": tr.output_tokens,
-            "temperature": tr.policy_temperature_used,
-        }
-        if position == len(transitions):
-            record["stop_cause"] = trajectory.stop_cause.value
-        sink.write(_dump(record) + "\n")
-    summary = {
-        "query_id": result.query_id,
-        "steps": trajectory.step_count,
-        "output_tokens": trajectory.total_output_tokens,
-        "stop_cause": trajectory.stop_cause.value,
-    }
-    sink.write(_dump(summary) + "\n")
-
-
-def emit_run_record(result: TrajectoryResult, sink: TextIO) -> None:
-    """Write one query's final outcome as a single JSON line."""
-    if result.error is not None:
-        sink.write(_dump({"query_id": result.query_id, "error": result.error}) + "\n")
-        return
-    trajectory = result.trajectory
-    assert trajectory is not None
-    final = trajectory.final_state
-    record = {
-        "query_id": result.query_id,
-        "final_query": final.query,
-        "ranked_doc_ids": list(final.docs.entries),
-        "stop_cause": trajectory.stop_cause.value,
-        "steps": trajectory.step_count,
-        "output_tokens": trajectory.total_output_tokens,
-    }
-    sink.write(_dump(record) + "\n")
 
 
 def write_trace_file(results: Sequence[TrajectoryResult], sink: TextIO) -> None:

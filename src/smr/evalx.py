@@ -7,16 +7,16 @@ are excluded from aggregate means, but stay visible in the report.
 
 from __future__ import annotations
 
-import json
 import math
 import re
 from dataclasses import dataclass, field
 from importlib import resources
 from typing import Iterable, Mapping, Sequence
 
-from .errors import AlignmentError, CorpusError, TraceFormatError
-from .llm import ChatBackend, ChatRequest, chat
+from .errors import AlignmentError, CorpusError
+from .llm import ChatBackend, ChatRequest
 from .policy import PolicyConfig
+from .records import iter_traces, open_input, read_run
 
 METRIC_KEYS = {"ndcg@10": "ndcg10", "map@10": "map10", "recall@10": "recall10"}
 DEFAULT_METRICS = ("ndcg@10", "map@10", "recall@10")
@@ -109,7 +109,7 @@ def parse_qrels(lines: Iterable[str], name: str = "qrels") -> Qrels:
 
 
 def load_qrels(path: str) -> Qrels:
-    with open(path, encoding="utf-8") as fh:
+    with open_input(path, "qrels", CorpusError) as fh:
         return parse_qrels(fh, name=path)
 
 
@@ -132,48 +132,18 @@ class TraceAnalytics:
 
 def analyze_traces(lines: Iterable[str], name: str = "trace") -> TraceAnalytics:
     histogram: dict[str, int] = {}
-    transitions_seen: dict[str, int] = {}
     summaries: dict[str, dict] = {}
     failed: list[str] = []
-    for lineno, line in enumerate(lines, start=1):
-        stripped = line.strip()
-        if not stripped:
-            continue
-        try:
-            record = json.loads(stripped)
-        except json.JSONDecodeError as exc:
-            raise TraceFormatError(f"{name}: line {lineno}: invalid JSON ({exc.msg})")
-        if not isinstance(record, dict) or "query_id" not in record:
-            raise TraceFormatError(f"{name}: line {lineno}: expected an object with query_id")
-        query_id = str(record["query_id"])
-        if "error" in record:
-            failed.append(query_id)
-        elif "action" in record:
+    for trace in iter_traces(lines, name):
+        for record in trace.transitions:
             action = record["action"]
-            if action not in ("refine", "rerank", "stop"):
-                raise TraceFormatError(f"{name}: line {lineno}: unknown action {action!r}")
-            transitions_seen.setdefault(query_id, 0)
             if action != "stop":
                 histogram[action] = histogram.get(action, 0) + 1
-                transitions_seen[query_id] += 1
-        elif "steps" in record:
-            if not isinstance(record.get("steps"), int) or not isinstance(record.get("output_tokens"), int):
-                raise TraceFormatError(f"{name}: line {lineno}: summary needs integer steps and output_tokens")
-            summaries[query_id] = {
-                "steps": record["steps"],
-                "output_tokens": record["output_tokens"],
-                "stop_cause": record.get("stop_cause"),
-            }
-        else:
-            raise TraceFormatError(f"{name}: line {lineno}: unrecognized record shape")
-    for query_id, count in transitions_seen.items():
-        if query_id not in summaries:
-            raise TraceFormatError(f"{name}: query {query_id!r} has transitions but no summary record")
-        if summaries[query_id]["steps"] != count:
-            raise TraceFormatError(
-                f"{name}: query {query_id!r} summary says {summaries[query_id]['steps']} steps, "
-                f"trace shows {count}"
-            )
+        if trace.error is not None:
+            failed.append(trace.query_id)
+            continue
+        summary = trace.summary or {}
+        summaries[trace.query_id] = {key: summary.get(key) for key in ("steps", "output_tokens", "stop_cause")}
     depths = [info["steps"] for info in summaries.values()]
     max_depth = max(depths, default=0)
     cumulative = [sum(1 for d in depths if d >= i) for i in range(1, max_depth + 1)]
@@ -213,7 +183,7 @@ def intent_alignment(
             temperature=cfg.temperature_for_attempt(attempt),
             max_output_tokens=cfg.max_output_tokens,
         )
-        response = chat(backend, request)
+        response = backend.complete(request)
         match = _NUMBER_RE.search(response.text)
         if match:
             return min(1.0, max(0.0, float(match.group())))
@@ -280,21 +250,8 @@ class EvalReport:
 
 def load_run_records(path: str) -> list[dict]:
     """Read a run file back; error entries are passed through as written."""
-    records: list[dict] = []
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            if not line.strip():
-                continue
-            try:
-                record = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise CorpusError(f"{path}: line {lineno}: invalid JSON ({exc.msg})")
-            if not isinstance(record, dict) or "query_id" not in record:
-                raise CorpusError(f"{path}: line {lineno}: expected an object with query_id")
-            if "error" not in record and "ranked_doc_ids" not in record:
-                raise CorpusError(f"{path}: line {lineno}: record has neither a ranking nor an error")
-            records.append(record)
-    return records
+    with open_input(path, "run", CorpusError) as fh:
+        return read_run(fh, path)
 
 
 _METRIC_FNS = {"ndcg@10": ndcg_at_k, "map@10": map_at_k, "recall@10": recall_at_k}

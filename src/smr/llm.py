@@ -55,10 +55,6 @@ class ChatBackend(Protocol):
     def complete(self, request: ChatRequest) -> ChatResponse: ...
 
 
-def chat(backend: ChatBackend, request: ChatRequest) -> ChatResponse:
-    return backend.complete(request)
-
-
 class ScriptedBackend:
     """Replays a fixed sequence of response texts, one per call.
 
@@ -80,6 +76,14 @@ class ScriptedBackend:
         text = self._steps[self._cursor]
         self._cursor += 1
         return ChatResponse(text=text, output_tokens=count_fallback_tokens(text))
+
+
+def _json_headers(api_key: str | None) -> dict[str, str]:
+    """Request headers for a JSON endpoint, with a bearer token when a key is set."""
+    headers = {"Content-Type": "application/json"}
+    if api_key:
+        headers["Authorization"] = f"Bearer {api_key}"
+    return headers
 
 
 def post_json_with_retry(
@@ -138,16 +142,10 @@ class HttpBackend:
     ):
         self.endpoint = endpoint
         self.model = model
-        self.api_key = api_key
+        self.headers = _json_headers(api_key)
         self.timeout = timeout
         self.max_retries = max_retries
         self.backoff_start = backoff_start
-
-    def _headers(self) -> dict[str, str]:
-        headers = {"Content-Type": "application/json"}
-        if self.api_key:
-            headers["Authorization"] = f"Bearer {self.api_key}"
-        return headers
 
     def complete(self, request: ChatRequest) -> ChatResponse:
         messages = []
@@ -163,7 +161,7 @@ class HttpBackend:
         body = post_json_with_retry(
             self.endpoint,
             payload,
-            self._headers(),
+            self.headers,
             timeout=self.timeout,
             max_retries=self.max_retries,
             backoff_start=self.backoff_start,
@@ -197,17 +195,14 @@ class HttpEmbedder:
     ):
         self.endpoint = endpoint
         self.model = model
-        self.api_key = api_key
+        self.headers = _json_headers(api_key)
         self.timeout = timeout
 
     def __call__(self, text: str) -> np.ndarray:
-        headers = {"Content-Type": "application/json"}
-        if self.api_key:
-            headers["Authorization"] = f"Bearer {self.api_key}"
         body = post_json_with_retry(
             self.endpoint,
             {"model": self.model, "input": [text]},
-            headers,
+            self.headers,
             timeout=self.timeout,
         )
         try:

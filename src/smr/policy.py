@@ -15,7 +15,7 @@ from typing import Mapping
 
 from .core import Action, Decision, Document, ReasoningState
 from .errors import DecisionParseError, UnknownDocumentError
-from .llm import ChatBackend, ChatRequest, chat
+from .llm import ChatBackend, ChatRequest
 
 _ACTION_REFINE = "refine query"
 _ACTION_RERANK = "re-rank"
@@ -202,7 +202,7 @@ def decide(
             temperature=temperature,
             max_output_tokens=cfg.max_output_tokens,
         )
-        response = chat(backend, request)
+        response = backend.complete(request)
         total_tokens += response.output_tokens
         try:
             decision = parse_decision(response.text)

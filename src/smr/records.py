@@ -1,0 +1,184 @@
+"""JSONL input, and the run and trace record shapes with writer beside reader.
+
+Every JSONL file the package reads goes through ``iter_jsonl``, so a bad line
+fails as an ``SmrError`` naming file and line.  Readers stream, and do constant
+work per line beyond the JSON decode.
+"""
+
+from __future__ import annotations
+
+import json
+from dataclasses import dataclass, field
+from typing import TYPE_CHECKING, Iterable, Iterator, TextIO
+
+from .errors import CorpusError, SmrError, TraceFormatError
+
+if TYPE_CHECKING:
+    from .engine import TrajectoryResult
+
+_QUERY_ID = frozenset({"query_id"})
+_ACTIONS = ("refine", "rerank", "stop")
+
+
+def open_input(path: str, kind: str, error: type[SmrError]) -> TextIO:
+    """Open a UTF-8 input file; failing to open it raises ``error`` naming it."""
+    try:
+        return open(path, encoding="utf-8")
+    except FileNotFoundError:
+        raise error(f"{kind} file not found: {path}") from None
+    except OSError as exc:
+        raise error(f"{kind} file {path}: {exc.strerror}") from None
+
+
+def iter_jsonl(lines: Iterable[str], name: str, error: type[SmrError],
+               required: frozenset[str]) -> Iterator[tuple[int, dict]]:
+    """Yield (line number, object) for each non-blank line.
+
+    A line that is not a JSON object holding every key in ``required``
+    raises ``error("<name>: line <n>: ...")``.
+    """
+    for lineno, line in enumerate(lines, start=1):
+        if not line or line.isspace():
+            continue
+        try:
+            record = json.loads(line)
+        except json.JSONDecodeError as exc:
+            raise error(f"{name}: line {lineno}: invalid JSON ({exc.msg})") from None
+        if not isinstance(record, dict) or not required <= record.keys():
+            raise error(f"{name}: line {lineno}: expected an object with {' and '.join(sorted(required))}")
+        yield lineno, record
+
+
+def _dump(record: dict) -> str:
+    return json.dumps(record, ensure_ascii=False, separators=(",", ":"))
+
+
+def emit_run_record(result: TrajectoryResult, sink: TextIO) -> None:
+    """Write one query's final outcome, or the error that ended it, as one JSON line."""
+    trajectory = result.trajectory
+    if trajectory is None:
+        record = {"query_id": result.query_id, "error": result.error}
+    else:
+        final = trajectory.final_state
+        record = {
+            "query_id": result.query_id,
+            "final_query": final.query,
+            "ranked_doc_ids": list(final.docs.entries),
+            "stop_cause": trajectory.stop_cause.value,
+            "steps": trajectory.step_count,
+            "output_tokens": trajectory.total_output_tokens,
+        }
+    sink.write(_dump(record) + "\n")
+
+
+def read_run(lines: Iterable[str], name: str) -> list[dict]:
+    """Run records as written; error entries pass through unchanged.
+
+    Raises CorpusError naming the line for a repeated query_id, a record with
+    neither an error nor a ranked_doc_ids list, or non-integer counts.
+    """
+    records: list[dict] = []
+    seen: set[str] = set()
+    for lineno, record in iter_jsonl(lines, name, CorpusError, _QUERY_ID):
+        query_id = str(record["query_id"])
+        if query_id in seen:
+            raise CorpusError(f"{name}: line {lineno}: repeated query_id {query_id!r}")
+        seen.add(query_id)
+        if "error" not in record:
+            if type(record.get("ranked_doc_ids")) is not list:
+                raise CorpusError(f"{name}: line {lineno}: record needs an error or a ranked_doc_ids list")
+            if type(record.get("steps", 0)) is not int or type(record.get("output_tokens", 0)) is not int:
+                raise CorpusError(f"{name}: line {lineno}: steps and output_tokens must be integers")
+        records.append(record)
+    return records
+
+
+def emit_trace(result: TrajectoryResult, sink: TextIO) -> None:
+    """Write one query's trace: a line per transition, then a summary line.
+
+    Transition lines carry the post-decision query and document order;
+    the final transition also carries the stop cause.  Failed entries
+    produce a single error line instead.
+    """
+    trajectory = result.trajectory
+    if trajectory is None:
+        sink.write(_dump({"query_id": result.query_id, "error": result.error}) + "\n")
+        return
+    transitions = trajectory.transitions
+    for position, tr in enumerate(transitions, start=1):
+        record = {
+            "query_id": result.query_id,
+            "step": position,
+            "action": tr.decision.action.value,
+            "query": tr.post_state.query,
+            "doc_ids": list(tr.post_state.docs.entries),
+            "reason": tr.decision.reason,
+            "output_tokens": tr.output_tokens,
+            "temperature": tr.policy_temperature_used,
+        }
+        if position == len(transitions):
+            record["stop_cause"] = trajectory.stop_cause.value
+        sink.write(_dump(record) + "\n")
+    summary = {
+        "query_id": result.query_id,
+        "steps": trajectory.step_count,
+        "output_tokens": trajectory.total_output_tokens,
+        "stop_cause": trajectory.stop_cause.value,
+    }
+    sink.write(_dump(summary) + "\n")
+
+
+@dataclass
+class QueryTrace:
+    """One query's transition records, then its summary or error; advancing counts non-stop ones."""
+
+    query_id: str
+    transitions: list[dict] = field(default_factory=list)
+    advancing: int = 0
+    summary: dict | None = None
+    error: str | None = None
+
+
+def iter_traces(lines: Iterable[str], name: str) -> Iterator[QueryTrace]:
+    """Each query's records, yielded once its summary or error line ends it.
+
+    Raises TraceFormatError naming the line for a record of no known shape,
+    a bad action or step, non-integer summary counts, a step count the
+    transitions disagree with, or a record for a query that already ended.
+    """
+    pending: dict[str, QueryTrace] = {}
+    ended: set[str] = set()
+    for lineno, record in iter_jsonl(lines, name, TraceFormatError, _QUERY_ID):
+        query_id = str(record["query_id"])
+        if query_id in ended:
+            raise TraceFormatError(f"{name}: line {lineno}: query {query_id!r} already ended")
+        trace = pending.get(query_id)
+        if trace is None:
+            trace = pending[query_id] = QueryTrace(query_id)
+        if "error" in record:
+            trace.error = str(record["error"])
+        elif "action" in record:
+            action = record["action"]
+            if action not in _ACTIONS:
+                raise TraceFormatError(f"{name}: line {lineno}: unknown action {action!r}")
+            if type(record.get("step")) is not int:
+                raise TraceFormatError(f"{name}: line {lineno}: transition needs an integer step")
+            trace.transitions.append(record)
+            trace.advancing += action != "stop"
+            continue
+        elif "steps" in record:
+            steps = record["steps"]
+            if type(steps) is not int or type(record.get("output_tokens")) is not int:
+                raise TraceFormatError(f"{name}: line {lineno}: summary needs integer steps and output_tokens")
+            if steps != trace.advancing:
+                raise TraceFormatError(
+                    f"{name}: line {lineno}: query {query_id!r} summary says {steps} steps, "
+                    f"trace shows {trace.advancing}"
+                )
+            trace.summary = record
+        else:
+            raise TraceFormatError(f"{name}: line {lineno}: expected a transition, a summary or an error")
+        ended.add(query_id)
+        yield pending.pop(query_id)
+    if pending:
+        raise TraceFormatError(f"{name}: query {next(iter(pending))!r} has transitions but no summary record")

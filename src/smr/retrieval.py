@@ -18,6 +18,7 @@ import numpy as np
 
 from .core import Document, RankedList, SOURCE_INITIAL
 from .errors import CorpusError, UnknownDocumentError
+from .records import iter_jsonl, open_input
 
 BM25_K1 = 1.2
 BM25_B = 0.75
@@ -268,16 +269,8 @@ class DenseRetriever:
 def load_corpus(path: str) -> list[Document]:
     """Read a JSONL corpus of {"doc_id": ..., "text": ...} records."""
     docs: list[Document] = []
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            if not line.strip():
-                continue
-            try:
-                record = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise CorpusError(f"{path}: line {lineno}: invalid JSON ({exc.msg})") from exc
-            if not isinstance(record, dict) or "doc_id" not in record or "text" not in record:
-                raise CorpusError(f"{path}: line {lineno}: expected an object with doc_id and text")
+    with open_input(path, "corpus", CorpusError) as fh:
+        for lineno, record in iter_jsonl(fh, path, CorpusError, frozenset({"doc_id", "text"})):
             doc_id, text = record["doc_id"], record["text"]
             if not isinstance(doc_id, str) or not isinstance(text, str):
                 raise CorpusError(f"{path}: line {lineno}: doc_id and text must be strings")
@@ -293,16 +286,8 @@ def load_corpus(path: str) -> list[Document]:
 def load_dense_store(path: str, embed_endpoint: str | None = None) -> DenseStore:
     """Read a JSONL embedding file of {"doc_id": ..., "vector": [...]} records."""
     entries: list[tuple[str, list[float]]] = []
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            if not line.strip():
-                continue
-            try:
-                record = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise CorpusError(f"{path}: line {lineno}: invalid JSON ({exc.msg})") from exc
-            if not isinstance(record, dict) or "doc_id" not in record or "vector" not in record:
-                raise CorpusError(f"{path}: line {lineno}: expected an object with doc_id and vector")
+    with open_input(path, "embeddings", CorpusError) as fh:
+        for lineno, record in iter_jsonl(fh, path, CorpusError, frozenset({"doc_id", "vector"})):
             doc_id, vector = record["doc_id"], record["vector"]
             if not isinstance(doc_id, str) or not isinstance(vector, list):
                 raise CorpusError(f"{path}: line {lineno}: doc_id must be a string, vector a list")
@@ -327,7 +312,7 @@ def save_index(index: CorpusIndex, path: str) -> None:
 
 def load_index(path: str) -> CorpusIndex:
     try:
-        with open(path, encoding="utf-8") as fh:
+        with open_input(path, "index", CorpusError) as fh:
             payload = json.load(fh)
     except json.JSONDecodeError as exc:
         raise CorpusError(f"{path}: not a valid index file ({exc.msg})") from exc

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import json
+import shutil
 from pathlib import Path
 
 import pytest
@@ -10,6 +11,15 @@ from smr.errors import ConfigError
 from smr.retrieval import build_index, load_corpus, save_index
 
 from conftest import DATA_DIR, refine_json, rerank_json, stop_json
+
+GOLDEN_DIR = Path(__file__).resolve().parent / "golden"
+
+DENSE_BLOCK = {
+    "dense_store": "store.jsonl",
+    "corpus": "corpus.jsonl",
+    "embed_endpoint": "http://127.0.0.1:9/v1/embeddings",
+    "embed_model": "m",
+}
 
 TOY_SCRIPT = {
     "q1": [
@@ -64,6 +74,12 @@ class TestIndexCommand:
         rc = main(["index", "--corpus", str(bad), "--out", str(tmp_path / "index.json")])
         assert rc == 1
         assert "line 2" in capsys.readouterr().err
+
+    def test_missing_corpus_named(self, tmp_path, capsys):
+        corpus = tmp_path / "corpus.jsonl"
+        rc = main(["index", "--corpus", str(corpus), "--out", str(tmp_path / "index.json")])
+        assert rc == 1
+        assert capsys.readouterr().err == f"error: corpus file not found: {corpus}\n"
 
 
 class TestLoadQueries:
@@ -221,6 +237,38 @@ class TestRunCommand:
         assert main(["run", "--config", str(config)]) == 1
         assert "engine: unknown keys" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "key, blocks",
+        [
+            ("retriever.bm25_index", {"retriever": {"bm25_index": 7}}),
+            ("retriever.dense_store", {"retriever": {**DENSE_BLOCK, "dense_store": 7}}),
+            ("retriever.api_key_env", {"retriever": {**DENSE_BLOCK, "api_key_env": 7}}),
+            ("llm.script", {"llm": {"script": 7}}),
+            ("llm.api_key_env", {"llm": {"endpoint": "http://127.0.0.1:9/v1", "model": "m", "api_key_env": 7}}),
+            ("engine.policy.prompt_path", {"engine": {"policy": {"prompt_path": 7}}}),
+            ("paths.queries", {"paths": {"queries": 7, "run": "run.jsonl", "trace": "trace.jsonl"}}),
+        ],
+    )
+    def test_non_string_config_value_named(self, tmp_path, capsys, key, blocks):
+        config = build_workspace(tmp_path)
+        raw = json.loads(config.read_text())
+        raw.update(blocks)
+        config.write_text(json.dumps(raw))
+        assert main(["run", "--config", str(config)]) == 1
+        assert capsys.readouterr().err == f"error: {config}: {key} must be a string\n"
+
+    @pytest.mark.parametrize("missing, kind", [("queries.jsonl", "queries"), ("index.json", "index")])
+    def test_missing_input_file_named(self, tmp_path, capsys, missing, kind):
+        config = build_workspace(tmp_path)
+        (tmp_path / missing).unlink()
+        assert main(["run", "--config", str(config)]) == 1
+        assert capsys.readouterr().err == f"error: {kind} file not found: {tmp_path / missing}\n"
+
+    def test_invalid_override_rejected(self, tmp_path, capsys):
+        config = build_workspace(tmp_path)
+        assert main(["run", "--config", str(config), "--k", "0"]) == 1
+        assert capsys.readouterr().err == "error: engine: k must be >= 1\n"
+
 
 class TestRunEndpointMode:
     def endpoint_config(self, tmp_path, endpoint) -> Path:
@@ -341,6 +389,16 @@ class TestEvalCommand:
         assert "excluded (no relevant judgments): q1" in stdout
         assert "ndcg@10      n/a" in stdout
 
+    @pytest.mark.parametrize("flag, kind", [("--run", "run"), ("--qrels", "qrels"), ("--trace", "trace")])
+    def test_missing_input_file_named(self, tmp_path, capsys, flag, kind):
+        out = completed_run(tmp_path)
+        absent = tmp_path / "absent.jsonl"
+        capsys.readouterr()
+        # A repeated flag overrides the earlier one.
+        rc = main(["eval", "--run", str(out / "run.jsonl"), "--qrels", str(DATA_DIR / "qrels.txt"), flag, str(absent)])
+        assert rc == 1
+        assert capsys.readouterr().err == f"error: {kind} file not found: {absent}\n"
+
 
 class TestInspectCommand:
     def test_pretty_prints_trajectory(self, tmp_path, capsys):
@@ -370,3 +428,34 @@ class TestInspectCommand:
         rc = main(["inspect", "--trace", str(trace), "--query-id", "x"])
         assert rc == 0
         assert "query x: failed: boom" in capsys.readouterr().out
+
+    @pytest.mark.parametrize(
+        "records, lineno",
+        [
+            ([{"query_id": "q1", "steps": 0, "output_tokens": 1, "stop_cause": "policy-stop"}, "not json"], 2),
+            ([{"query_id": "q1", "action": "stop"}], 1),
+            ([{"query_id": "q1", "output_tokens": 1, "stop_cause": "policy-stop"}], 1),
+        ],
+        ids=["invalid-json", "transition-without-step", "summary-without-steps"],
+    )
+    def test_malformed_line_names_file_and_line(self, tmp_path, capsys, records, lineno):
+        trace = tmp_path / "trace.jsonl"
+        lines = [r if isinstance(r, str) else json.dumps(r) for r in records]
+        trace.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        assert main(["inspect", "--trace", str(trace), "--query-id", "q1"]) == 1
+        assert capsys.readouterr().err.startswith(f"error: {trace}: line {lineno}: ")
+
+    def test_missing_trace_named(self, tmp_path, capsys):
+        trace = tmp_path / "trace.jsonl"
+        assert main(["inspect", "--trace", str(trace), "--query-id", "q1"]) == 1
+        assert capsys.readouterr().err == f"error: trace file not found: {trace}\n"
+
+
+class TestToyGolden:
+    def test_index_and_run_reproduce_golden_outputs(self, tmp_path):
+        toy = tmp_path / "toy"
+        shutil.copytree(DATA_DIR, toy, ignore=shutil.ignore_patterns("out"))
+        assert main(["index", "--corpus", str(toy / "corpus.jsonl"), "--out", str(toy / "out" / "index.json")]) == 0
+        assert main(["run", "--config", str(toy / "run_config.json")]) == 0
+        for name in ("run.jsonl", "trace.jsonl"):
+            assert (toy / "out" / name).read_bytes() == (GOLDEN_DIR / name).read_bytes(), name

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from smr.cli import main
 from smr.errors import AlignmentError, CorpusError, TraceFormatError
 from smr.evalx import (
     DEFAULT_METRICS,
@@ -243,6 +244,21 @@ class TestAnalyzeTraces:
         lines = ["", summary_line("a", 0, 3), "  "]
         assert analyze_traces(lines).per_query["a"]["output_tokens"] == 3
 
+    @pytest.mark.parametrize(
+        "lines, message",
+        [
+            (
+                [json.dumps({"query_id": "a", "action": "refine"}), summary_line("a", 1, 3)],
+                "line 1: transition needs an integer step",
+            ),
+            (trace_for("a", ["stop"], 1) + trace_for("a", ["stop"], 1), "line 3: query 'a' already ended"),
+        ],
+        ids=["transition-without-step", "query-repeated-after-summary"],
+    )
+    def test_malformed_trace_names_file_and_line(self, lines, message):
+        with pytest.raises(TraceFormatError, match=r"^trace\.jsonl: " + message):
+            analyze_traces(lines, name="trace.jsonl")
+
 
 class TestIntentAlignment:
     def test_plain_decimal(self):
@@ -341,6 +357,23 @@ class TestLoadRunRecords:
         path.write_text('{"query_id": "q1", "ranked_doc_ids": []}\nnot json\n', encoding="utf-8")
         with pytest.raises(CorpusError, match="line 2"):
             load_run_records(str(path))
+
+    @pytest.mark.parametrize(
+        "records, lineno",
+        [
+            ([{**run_record("q1", []), "ranked_doc_ids": "d1"}], 1),
+            ([run_record("q1", ["d1"], tokens=5), run_record("q1", ["d"], tokens=3)], 2),
+            ([{**run_record("q1", ["d"]), "output_tokens": "many"}], 1),
+        ],
+        ids=["ranking-not-a-list", "repeated-query-id", "non-integer-tokens"],
+    )
+    def test_malformed_record_fails_eval_naming_line(self, tmp_path, capsys, records, lineno):
+        run = tmp_path / "run.jsonl"
+        run.write_text("".join(json.dumps(r) + "\n" for r in records), encoding="utf-8")
+        qrels = tmp_path / "qrels.txt"
+        qrels.write_text("q1 0 d 1\n", encoding="utf-8")
+        assert main(["eval", "--run", str(run), "--qrels", str(qrels)]) == 1
+        assert capsys.readouterr().err.startswith(f"error: {run}: line {lineno}: ")
 
 
 class TestBuildReport:

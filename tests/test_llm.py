@@ -11,7 +11,6 @@ from smr.llm import (
     HttpBackend,
     HttpEmbedder,
     ScriptedBackend,
-    chat,
     count_fallback_tokens,
 )
 
@@ -54,29 +53,29 @@ class TestRequestValidation:
 class TestScriptedBackend:
     def test_replays_in_order(self):
         backend = ScriptedBackend(["first reply", "second"])
-        assert chat(backend, make_request()).text == "first reply"
-        assert chat(backend, make_request()).text == "second"
+        assert backend.complete(make_request()).text == "first reply"
+        assert backend.complete(make_request()).text == "second"
 
     def test_exhaustion_raises(self):
         backend = ScriptedBackend(["only"])
-        chat(backend, make_request())
+        backend.complete(make_request())
         with pytest.raises(ScriptExhaustedError):
-            chat(backend, make_request())
+            backend.complete(make_request())
 
     def test_tokens_counted_by_fallback(self):
         backend = ScriptedBackend(["three word reply"])
-        assert chat(backend, make_request()).output_tokens == 3
+        assert backend.complete(make_request()).output_tokens == 3
 
     def test_records_requests_verbatim(self):
         backend = ScriptedBackend(["a", "b"])
-        chat(backend, make_request(temperature=0.3))
-        chat(backend, make_request(temperature=0.7))
+        backend.complete(make_request(temperature=0.3))
+        backend.complete(make_request(temperature=0.7))
         assert [c.temperature for c in backend.calls] == [0.3, 0.7]
 
     def test_deterministic_replay(self):
         steps = ["one", "two", "three"]
-        first = [chat(ScriptedBackend(steps), make_request()).text for _ in range(1)]
-        second = [chat(ScriptedBackend(steps), make_request()).text for _ in range(1)]
+        first = [ScriptedBackend(steps).complete(make_request()).text for _ in range(1)]
+        second = [ScriptedBackend(steps).complete(make_request()).text for _ in range(1)]
         assert first == second
 
 
@@ -84,7 +83,7 @@ class TestHttpBackend:
     def test_round_trip_with_reported_usage(self, endpoint):
         endpoint.push_chat("the reply text", completion_tokens=42)
         backend = HttpBackend(endpoint.url, "test-model", api_key="sk-test")
-        response = chat(backend, make_request(temperature=0.2, max_output_tokens=9))
+        response = backend.complete(make_request(temperature=0.2, max_output_tokens=9))
         assert response.text == "the reply text"
         assert response.output_tokens == 42
         sent = endpoint.received[0]
@@ -99,26 +98,26 @@ class TestHttpBackend:
     def test_empty_system_text_sends_single_message(self, endpoint):
         endpoint.push_chat("ok")
         backend = HttpBackend(endpoint.url, "m")
-        chat(backend, make_request(system_text=""))
+        backend.complete(make_request(system_text=""))
         assert [m["role"] for m in endpoint.received[0]["messages"]] == ["user"]
 
     def test_fallback_token_count_when_usage_missing(self, endpoint):
         endpoint.push({"choices": [{"message": {"content": "alpha beta gamma"}}]})
         backend = HttpBackend(endpoint.url, "m")
-        assert chat(backend, make_request()).output_tokens == 3
+        assert backend.complete(make_request()).output_tokens == 3
 
     def test_4xx_is_config_error_without_retry(self, endpoint):
         endpoint.push({"error": "bad key"}, status=401)
         backend = HttpBackend(endpoint.url, "m", backoff_start=0.01)
         with pytest.raises(EndpointConfigError, match="401"):
-            chat(backend, make_request())
+            backend.complete(make_request())
         assert len(endpoint.received) == 1
 
     def test_5xx_retried_then_succeeds(self, endpoint):
         endpoint.push({"error": "overloaded"}, status=503)
         endpoint.push_chat("recovered", completion_tokens=1)
         backend = HttpBackend(endpoint.url, "m", backoff_start=0.01)
-        assert chat(backend, make_request()).text == "recovered"
+        assert backend.complete(make_request()).text == "recovered"
         assert len(endpoint.received) == 2
 
     def test_retries_exhausted_is_transport_error(self, endpoint):
@@ -126,32 +125,32 @@ class TestHttpBackend:
             endpoint.push({"error": "down"}, status=500)
         backend = HttpBackend(endpoint.url, "m", max_retries=3, backoff_start=0.01)
         with pytest.raises(TransportError, match="4 attempts"):
-            chat(backend, make_request())
+            backend.complete(make_request())
         assert len(endpoint.received) == 4
 
     def test_unreachable_endpoint_is_transport_error(self):
         backend = HttpBackend("http://127.0.0.1:9/nope", "m", max_retries=1, backoff_start=0.01)
         with pytest.raises(TransportError):
-            chat(backend, make_request())
+            backend.complete(make_request())
 
     def test_malformed_body_retried(self, endpoint):
         endpoint.push(b"this is not json")
         endpoint.push_chat("fine now", completion_tokens=2)
         backend = HttpBackend(endpoint.url, "m", backoff_start=0.01)
-        assert chat(backend, make_request()).text == "fine now"
+        assert backend.complete(make_request()).text == "fine now"
 
     def test_missing_choices_is_transport_error(self, endpoint):
         endpoint.push({"choices": []})
         backend = HttpBackend(endpoint.url, "m", max_retries=0)
         with pytest.raises(TransportError, match="choices"):
-            chat(backend, make_request())
+            backend.complete(make_request())
 
     def test_auth_header_present_only_with_key(self, endpoint):
         endpoint.push_chat("x")
-        chat(HttpBackend(endpoint.url, "m", api_key="sk-1"), make_request())
+        HttpBackend(endpoint.url, "m", api_key="sk-1").complete(make_request())
         # The double records payloads, not headers; exercise the no-key path too.
         endpoint.push_chat("y")
-        chat(HttpBackend(endpoint.url, "m"), make_request())
+        HttpBackend(endpoint.url, "m").complete(make_request())
         assert len(endpoint.received) == 2
 
 

@@ -309,6 +309,15 @@ class TestLoaders:
         assert loaded.avg_doc_length == pytest.approx(index.avg_doc_length)
         assert list(search(loaded, "banana", 10).entries) == list(search(index, "banana", 10).entries)
 
+    @pytest.mark.parametrize(
+        "loader, kind",
+        [(load_corpus, "corpus"), (load_dense_store, "embeddings"), (load_index, "index")],
+    )
+    def test_missing_file_named(self, tmp_path, loader, kind):
+        path = tmp_path / "absent.jsonl"
+        with pytest.raises(CorpusError, match=f"^{kind} file not found: .*absent\\.jsonl$"):
+            loader(str(path))
+
     def test_load_index_rejects_garbage(self, tmp_path):
         path = tmp_path / "index.json"
         path.write_text('{"not": "an index"}')
