@@ -28,7 +28,7 @@ from .evalx import (
     load_run_records,
 )
 from .llm import ChatBackend, ChatRequest, HttpBackend, HttpEmbedder, ScriptedBackend
-from .policy import PolicyConfig
+from .policy import PolicyConfig, load_policy_prompt
 from .retrieval import (
     Bm25Retriever,
     DenseRetriever,
@@ -142,6 +142,7 @@ class RunPlan:
         if policy.get("prompt_path") is not None:
             policy["prompt_path"] = _config_str(policy, "prompt_path", "engine.policy", base)
         policy_config = _build(PolicyConfig, policy, "engine.policy")
+        load_policy_prompt(policy_config.prompt_path)  # a missing prompt file fails here, before any query
         self.engine = _build(EngineConfig, {**engine, "policy": policy_config}, "engine")
 
         retriever = raw["retriever"]

@@ -20,7 +20,7 @@ class TransportError(SmrError):
 
 
 class EndpointConfigError(SmrError):
-    """The endpoint rejected the request (4xx): bad key, model, or URL."""
+    """The endpoint rejected the request (a 4xx other than 408 or 429): bad key, model, or URL."""
 
 
 class ScriptExhaustedError(SmrError):

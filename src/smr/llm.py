@@ -20,6 +20,8 @@ from .errors import EndpointConfigError, ScriptExhaustedError, TransportError
 DEFAULT_TIMEOUT = 60.0
 DEFAULT_MAX_RETRIES = 3
 DEFAULT_BACKOFF_START = 0.5
+# Request Timeout and Too Many Requests: the endpoint may accept the same request later.
+_TRANSIENT_4XX = (408, 429)
 
 
 def count_fallback_tokens(text: str) -> int:
@@ -96,9 +98,9 @@ def post_json_with_retry(
 ) -> dict[str, Any]:
     """POST JSON and return the parsed JSON body.
 
-    Transient failures (connection errors, timeouts, 5xx, unparseable
-    bodies) are retried with exponential backoff; 4xx responses are a
-    configuration problem and fail immediately.
+    Transient failures (connection errors, timeouts, 408, 429, 5xx,
+    unparseable bodies) are retried with exponential backoff; any other
+    4xx response is a configuration problem and fails immediately.
     """
     last_error: Exception | None = None
     for attempt in range(max_retries + 1):
@@ -109,7 +111,7 @@ def post_json_with_retry(
         except requests.RequestException as exc:
             last_error = exc
             continue
-        if 400 <= resp.status_code < 500:
+        if 400 <= resp.status_code < 500 and resp.status_code not in _TRANSIENT_4XX:
             raise EndpointConfigError(
                 f"endpoint rejected request with HTTP {resp.status_code}: {resp.text[:200]}"
             )

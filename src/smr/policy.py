@@ -8,14 +8,16 @@ policy falls back to a stop decision rather than crashing the run.
 
 from __future__ import annotations
 
+import functools
 import json
 from dataclasses import dataclass
 from importlib import resources
 from typing import Mapping
 
 from .core import Action, Decision, Document, ReasoningState
-from .errors import DecisionParseError, UnknownDocumentError
+from .errors import ConfigError, DecisionParseError, UnknownDocumentError
 from .llm import ChatBackend, ChatRequest
+from .records import open_input
 
 _ACTION_REFINE = "refine query"
 _ACTION_RERANK = "re-rank"
@@ -54,10 +56,11 @@ class PolicyConfig:
         return self.base_temperature + attempt * self.temperature_increment
 
 
+@functools.cache
 def load_policy_prompt(prompt_path: str | None = None) -> str:
-    """The decision prompt: the packaged asset, or an override file."""
+    """The decision prompt: the packaged asset, or an override file, read once per path."""
     if prompt_path is not None:
-        with open(prompt_path, encoding="utf-8") as fh:
+        with open_input(prompt_path, "prompt", ConfigError) as fh:
             return fh.read()
     return resources.files("smr").joinpath("prompts/decision_policy.txt").read_text(encoding="utf-8")
 

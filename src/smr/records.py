@@ -8,6 +8,7 @@ work per line beyond the JSON decode.
 from __future__ import annotations
 
 import json
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Iterable, Iterator, TextIO
 
@@ -20,14 +21,22 @@ _QUERY_ID = frozenset({"query_id"})
 _ACTIONS = ("refine", "rerank", "stop")
 
 
-def open_input(path: str, kind: str, error: type[SmrError]) -> TextIO:
-    """Open a UTF-8 input file; failing to open it raises ``error`` naming it."""
+@contextmanager
+def open_input(path: str, kind: str, error: type[SmrError]) -> Iterator[TextIO]:
+    """Open a UTF-8 input file for a ``with`` body; failing to open it, or a
+    non-UTF-8 byte read in the body, raises ``error`` naming the file (not the
+    line: the decoder reads ahead)."""
     try:
-        return open(path, encoding="utf-8")
+        fh = open(path, encoding="utf-8")
     except FileNotFoundError:
         raise error(f"{kind} file not found: {path}") from None
     except OSError as exc:
         raise error(f"{kind} file {path}: {exc.strerror}") from None
+    with fh:
+        try:
+            yield fh
+        except UnicodeDecodeError as exc:
+            raise error(f"{kind} file {path}: not UTF-8 (byte {exc.object[exc.start]:#04x}: {exc.reason})") from None
 
 
 def iter_jsonl(lines: Iterable[str], name: str, error: type[SmrError],

@@ -43,7 +43,8 @@ class CorpusIndex:
     """Inverted index over a fixed corpus.
 
     postings maps term -> [(doc_id, term_frequency), ...] in corpus order;
-    doc_store keeps the original documents for prompt rendering.
+    doc_store keeps the original documents for prompt rendering.  Only
+    build_index makes one, so every field agrees with doc_store.
     """
 
     postings: dict[str, list[tuple[str, int]]]
@@ -51,19 +52,6 @@ class CorpusIndex:
     avg_doc_length: float
     doc_count: int
     doc_store: dict[str, Document]
-
-    def __post_init__(self) -> None:
-        if self.doc_count != len(self.doc_store) or self.doc_count != len(self.doc_lengths):
-            raise ValueError("doc_count disagrees with stored documents")
-        if self.doc_count == 0:
-            raise ValueError("index must contain at least one document")
-        mean = sum(self.doc_lengths.values()) / self.doc_count
-        if abs(self.avg_doc_length - mean) > 1e-9 * max(1.0, abs(mean)):
-            raise ValueError("avg_doc_length disagrees with doc_lengths")
-        for term, plist in self.postings.items():
-            for doc_id, _tf in plist:
-                if doc_id not in self.doc_store:
-                    raise ValueError(f"postings reference unknown doc_id {doc_id!r} for term {term!r}")
 
 
 def build_index(
@@ -96,14 +84,24 @@ def build_index(
     )
 
 
-def _idf(index: CorpusIndex, term: str) -> float:
-    df = len(index.postings.get(term, ()))
-    return math.log(1.0 + (index.doc_count - df + 0.5) / (df + 0.5))
+def _scores(index: CorpusIndex, terms: Iterable[str]) -> dict[str, float]:
+    """BM25 score of every document sharing a term with the query.
 
-
-def _term_weight(tf: int, doc_length: int, avg_doc_length: float) -> float:
-    norm = 1.0 - BM25_B + BM25_B * doc_length / avg_doc_length
-    return tf * (BM25_K1 + 1.0) / (tf + BM25_K1 * norm)
+    Each document's sum runs in query-term order, so a score is the same
+    float however it is asked for; repeated terms count once per occurrence.
+    """
+    scores: dict[str, float] = {}
+    for term in terms:
+        plist = index.postings.get(term)
+        if not plist:
+            continue
+        df = len(plist)
+        idf = math.log(1.0 + (index.doc_count - df + 0.5) / (df + 0.5))
+        for doc_id, tf in plist:
+            norm = 1.0 - BM25_B + BM25_B * index.doc_lengths[doc_id] / index.avg_doc_length
+            weight = idf * (tf * (BM25_K1 + 1.0) / (tf + BM25_K1 * norm))
+            scores[doc_id] = scores.get(doc_id, 0.0) + weight
+    return scores
 
 
 def bm25_score(index: CorpusIndex, query_terms: list[str], doc_id: str) -> float:
@@ -114,18 +112,7 @@ def bm25_score(index: CorpusIndex, query_terms: list[str], doc_id: str) -> float
     """
     if doc_id not in index.doc_store:
         raise UnknownDocumentError(f"doc_id not in index: {doc_id!r}")
-    doc_length = index.doc_lengths[doc_id]
-    score = 0.0
-    for term in query_terms:
-        tf = 0
-        for candidate, candidate_tf in index.postings.get(term, ()):
-            if candidate == doc_id:
-                tf = candidate_tf
-                break
-        if tf == 0:
-            continue
-        score += _idf(index, term) * _term_weight(tf, doc_length, index.avg_doc_length)
-    return score
+    return _scores(index, query_terms).get(doc_id, 0.0)
 
 
 def search(index: CorpusIndex, query: str, k: int) -> RankedList:
@@ -137,15 +124,7 @@ def search(index: CorpusIndex, query: str, k: int) -> RankedList:
     """
     if k < 1:
         raise ValueError("k must be >= 1")
-    scores: dict[str, float] = {}
-    for term in tokenize(query):
-        plist = index.postings.get(term)
-        if not plist:
-            continue
-        idf = _idf(index, term)
-        for doc_id, tf in plist:
-            weight = idf * _term_weight(tf, index.doc_lengths[doc_id], index.avg_doc_length)
-            scores[doc_id] = scores.get(doc_id, 0.0) + weight
+    scores = _scores(index, tokenize(query))
     ranked = sorted(
         (doc_id for doc_id, s in scores.items() if s > 0.0),
         key=lambda d: (-scores[d], d),
@@ -263,21 +242,30 @@ class DenseRetriever:
 
 
 # ---------------------------------------------------------------------------
-# File formats: JSON lines for corpora and embeddings, JSON for saved indexes.
+# File formats: JSON lines for corpora and embeddings; a saved index is JSON
+# holding its documents, and its postings are built again at load.
+
+
+def _document(record: object, path: str, place: str, number: int) -> Document:
+    """A {"doc_id": str, "text": str} record as a Document; a bad one raises
+    CorpusError naming the file and the record's place in it."""
+    if isinstance(record, dict):
+        doc_id, text = record.get("doc_id"), record.get("text")
+        if isinstance(doc_id, str) and isinstance(text, str):
+            try:
+                return Document(doc_id=doc_id, text=text)
+            except ValueError as exc:
+                raise CorpusError(f"{path}: {place} {number}: {exc}") from None
+    raise CorpusError(f"{path}: {place} {number}: doc_id and text must be strings")
 
 
 def load_corpus(path: str) -> list[Document]:
     """Read a JSONL corpus of {"doc_id": ..., "text": ...} records."""
-    docs: list[Document] = []
     with open_input(path, "corpus", CorpusError) as fh:
-        for lineno, record in iter_jsonl(fh, path, CorpusError, frozenset({"doc_id", "text"})):
-            doc_id, text = record["doc_id"], record["text"]
-            if not isinstance(doc_id, str) or not isinstance(text, str):
-                raise CorpusError(f"{path}: line {lineno}: doc_id and text must be strings")
-            try:
-                docs.append(Document(doc_id=doc_id, text=text))
-            except ValueError as exc:
-                raise CorpusError(f"{path}: line {lineno}: {exc}") from exc
+        docs = [
+            _document(record, path, "line", lineno)
+            for lineno, record in iter_jsonl(fh, path, CorpusError, frozenset({"doc_id", "text"}))
+        ]
     if not docs:
         raise CorpusError(f"{path}: corpus file contains no documents")
     return docs
@@ -302,8 +290,6 @@ def save_index(index: CorpusIndex, path: str) -> None:
     payload = {
         "format": _INDEX_FORMAT,
         "docs": [{"doc_id": d.doc_id, "text": d.text} for d in index.doc_store.values()],
-        "postings": {term: [[doc_id, tf] for doc_id, tf in plist] for term, plist in index.postings.items()},
-        "doc_lengths": index.doc_lengths,
     }
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(payload, fh, ensure_ascii=False, separators=(",", ":"))
@@ -311,6 +297,7 @@ def save_index(index: CorpusIndex, path: str) -> None:
 
 
 def load_index(path: str) -> CorpusIndex:
+    """Index the documents an index file holds; postings in older files are ignored."""
     try:
         with open_input(path, "index", CorpusError) as fh:
             payload = json.load(fh)
@@ -318,23 +305,11 @@ def load_index(path: str) -> CorpusIndex:
         raise CorpusError(f"{path}: not a valid index file ({exc.msg})") from exc
     if not isinstance(payload, dict) or payload.get("format") != _INDEX_FORMAT:
         raise CorpusError(f"{path}: not a valid index file (missing format marker)")
+    entries = payload.get("docs")
+    if not isinstance(entries, list):
+        raise CorpusError(f"{path}: index file needs a docs list")
+    docs = [_document(entry, path, "docs entry", number) for number, entry in enumerate(entries, start=1)]
     try:
-        doc_store = {d["doc_id"]: Document(doc_id=d["doc_id"], text=d["text"]) for d in payload["docs"]}
-        postings = {
-            term: [(doc_id, int(tf)) for doc_id, tf in plist]
-            for term, plist in payload["postings"].items()
-        }
-        doc_lengths = {doc_id: int(n) for doc_id, n in payload["doc_lengths"].items()}
-    except (KeyError, TypeError, ValueError) as exc:
-        raise CorpusError(f"{path}: index file is structurally invalid ({exc})") from exc
-    avg = sum(doc_lengths.values()) / len(doc_lengths) if doc_lengths else 0.0
-    try:
-        return CorpusIndex(
-            postings=postings,
-            doc_lengths=doc_lengths,
-            avg_doc_length=avg,
-            doc_count=len(doc_store),
-            doc_store=doc_store,
-        )
-    except ValueError as exc:
-        raise CorpusError(f"{path}: index file is inconsistent ({exc})") from exc
+        return build_index(docs)
+    except CorpusError as exc:
+        raise CorpusError(f"{path}: {exc}") from None

@@ -8,6 +8,7 @@ import pytest
 
 from smr.cli import load_queries, main
 from smr.errors import ConfigError
+from smr.policy import load_policy_prompt
 from smr.retrieval import build_index, load_corpus, save_index
 
 from conftest import DATA_DIR, refine_json, rerank_json, stop_json
@@ -264,6 +265,12 @@ class TestRunCommand:
         assert main(["run", "--config", str(config)]) == 1
         assert capsys.readouterr().err == f"error: {kind} file not found: {tmp_path / missing}\n"
 
+    def test_missing_prompt_file_is_one_config_error(self, tmp_path, capsys):
+        config = build_workspace(tmp_path, engine_block={"policy": {"prompt_path": "nope.txt"}})
+        assert main(["run", "--config", str(config)]) == 1
+        assert capsys.readouterr().err == f"error: {config}: prompt file not found: {tmp_path / 'nope.txt'}\n"
+        assert not (tmp_path / "out").exists()
+
     def test_invalid_override_rejected(self, tmp_path, capsys):
         config = build_workspace(tmp_path)
         assert main(["run", "--config", str(config), "--k", "0"]) == 1
@@ -449,6 +456,39 @@ class TestInspectCommand:
         trace = tmp_path / "trace.jsonl"
         assert main(["inspect", "--trace", str(trace), "--query-id", "q1"]) == 1
         assert capsys.readouterr().err == f"error: trace file not found: {trace}\n"
+
+
+class TestNonUtf8Input:
+    @pytest.mark.parametrize(
+        "kind, name, command",
+        [
+            ("corpus", "corpus.jsonl", ["index", "--corpus", "corpus.jsonl", "--out", "again.json"]),
+            ("queries", "queries.jsonl", ["run", "--config", "config.json"]),
+            ("index", "index.json", ["run", "--config", "config.json"]),
+            ("config", "config.json", ["run", "--config", "config.json"]),
+            ("prompt", "prompt.txt", ["run", "--config", "config.json"]),
+            ("qrels", "qrels.txt", ["eval", "--run", "out/run.jsonl", "--qrels", "qrels.txt"]),
+            ("run", "out/run.jsonl", ["eval", "--run", "out/run.jsonl", "--qrels", "qrels.txt"]),
+            ("trace", "out/trace.jsonl", ["inspect", "--trace", "out/trace.jsonl", "--query-id", "q1"]),
+        ],
+    )
+    def test_file_named_without_traceback(self, tmp_path, capsys, monkeypatch, kind, name, command):
+        (tmp_path / "prompt.txt").write_text("custom instructions\n", encoding="utf-8")
+        config = build_workspace(tmp_path, engine_block={"policy": {"prompt_path": "prompt.txt"}})
+        assert main(["run", "--config", str(config)]) == 0
+        shutil.copy(DATA_DIR / "corpus.jsonl", tmp_path / "corpus.jsonl")
+        shutil.copy(DATA_DIR / "qrels.txt", tmp_path / "qrels.txt")
+        target = tmp_path / name
+        data = target.read_bytes()
+        target.write_bytes(data[: len(data) // 2] + b"\xe9" + data[len(data) // 2 :])
+        monkeypatch.chdir(tmp_path)
+        load_policy_prompt.cache_clear()  # the run above read the prompt while it was still valid
+        capsys.readouterr()
+        assert main(command) == 1
+        err = capsys.readouterr().err
+        where = "config.json: " if kind == "prompt" else ""
+        path = target if kind in ("prompt", "index", "queries") else name
+        assert err == f"error: {where}{kind} file {path}: not UTF-8 (byte 0xe9: invalid continuation byte)\n"
 
 
 class TestToyGolden:

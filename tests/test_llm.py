@@ -113,6 +113,14 @@ class TestHttpBackend:
             backend.complete(make_request())
         assert len(endpoint.received) == 1
 
+    @pytest.mark.parametrize("status", [408, 429])
+    def test_timeout_and_rate_limit_retried(self, endpoint, status):
+        endpoint.push({"error": "slow down"}, status=status)
+        endpoint.push_chat("after the wait", completion_tokens=1)
+        backend = HttpBackend(endpoint.url, "m", backoff_start=0.01)
+        assert backend.complete(make_request()).text == "after the wait"
+        assert len(endpoint.received) == 2
+
     def test_5xx_retried_then_succeeds(self, endpoint):
         endpoint.push({"error": "overloaded"}, status=503)
         endpoint.push_chat("recovered", completion_tokens=1)

@@ -324,6 +324,50 @@ class TestLoaders:
         with pytest.raises(CorpusError, match="format"):
             load_index(str(path))
 
+    def test_saved_index_holds_only_documents(self, tmp_path):
+        path = tmp_path / "index.json"
+        save_index(build_index(docs_from({"d1": "apple", "d2": "banana"})), str(path))
+        payload = json.loads(path.read_text(encoding="utf-8"))
+        assert payload == {
+            "format": "smr-index-v1",
+            "docs": [{"doc_id": "d1", "text": "apple"}, {"doc_id": "d2", "text": "banana"}],
+        }
+
+    def test_old_index_postings_ignored(self, tmp_path):
+        texts = {"d1": "apple banana", "d2": "banana cherry", "d3": "date"}
+        path = tmp_path / "index.json"
+        path.write_text(json.dumps({
+            "format": "smr-index-v1",
+            "docs": [{"doc_id": doc_id, "text": text} for doc_id, text in texts.items()],
+            "postings": {"banana": [["d1", 9], ["d3", 4]], "apple": [["d1", 1]], "date": [["d3", 1]]},
+            "doc_lengths": {"d1": 2, "d2": 2, "d3": 7},
+        }))
+        loaded = load_index(str(path))
+        built = build_index(docs_from(texts))
+        assert loaded.postings == built.postings
+        assert loaded.doc_lengths == built.doc_lengths
+        for query in ("banana", "apple banana cherry", "date cherry"):
+            assert search(loaded, query, 10).entries == search(built, query, 10).entries
+
+    @pytest.mark.parametrize(
+        "docs, message",
+        [
+            ([{"doc_id": "d1", "text": "a"}, {"doc_id": "d1", "text": "b"}], "duplicate doc_id in corpus: 'd1'"),
+            ([{"doc_id": "d1", "text": 5}], "docs entry 1: doc_id and text must be strings"),
+            ([{"doc_id": "d1", "text": "a"}, ["d2", "b"]], "docs entry 2: doc_id and text must be strings"),
+            ([{"doc_id": "", "text": "a"}], "docs entry 1: doc_id must be a non-empty string"),
+            ([], "corpus is empty"),
+            ({"d1": "a"}, "index file needs a docs list"),
+        ],
+        ids=["duplicate-id", "non-string-text", "non-object-entry", "empty-id", "no-docs", "docs-not-a-list"],
+    )
+    def test_bad_index_docs_named(self, tmp_path, docs, message):
+        path = tmp_path / "index.json"
+        path.write_text(json.dumps({"format": "smr-index-v1", "docs": docs}))
+        with pytest.raises(CorpusError) as caught:
+            load_index(str(path))
+        assert str(caught.value) == f"{path}: {message}"
+
 
 class TestRetrieverAdapters:
     def test_bm25_adapter(self):
