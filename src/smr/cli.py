@@ -225,7 +225,7 @@ class RunPlan:
     def build_retriever(self) -> Retriever:
         if self.retriever_mode == "bm25_index":
             return Bm25Retriever(load_index(self.index_path))
-        store = load_dense_store(self.dense_store_path, embed_endpoint=self.embed_endpoint)
+        store = load_dense_store(self.dense_store_path)
         corpus = load_corpus(self.dense_corpus_path)
         doc_store = {doc.doc_id: doc for doc in corpus}
         api_key = _require_env(self.embed_api_key_env) if self.embed_api_key_env else None

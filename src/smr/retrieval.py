@@ -1,8 +1,9 @@
 """Sparse and dense retrieval over an in-memory corpus.
 
-Sparse search is Okapi BM25 over an inverted index; dense search is cosine
-similarity over externally supplied embeddings.  Both return ranked lists
-with deterministic tie-breaking (ascending doc_id) so repeat runs produce
+Sparse search is Okapi BM25 with every (term, document) weight computed once
+at build and kept in flat CSR arrays; dense search is cosine similarity over
+one matrix of externally supplied embeddings.  Both return ranked lists with
+deterministic tie-breaking (ascending doc_id) so repeat runs produce
 identical output.
 """
 
@@ -11,8 +12,9 @@ from __future__ import annotations
 import json
 import math
 import re
-from dataclasses import dataclass
-from typing import Callable, Iterable, Mapping, Protocol
+from collections import Counter
+from dataclasses import dataclass, field
+from typing import Callable, Iterable, Mapping, Protocol, Sequence
 
 import numpy as np
 
@@ -38,70 +40,137 @@ def tokenize(text: str) -> list[str]:
     return _TOKEN_RE.findall(text.lower())
 
 
-@dataclass(frozen=True)
-class CorpusIndex:
-    """Inverted index over a fixed corpus.
+def _sorted_rank(ids: Sequence[str]) -> np.ndarray:
+    """rank[p] is the place of ids[p] in sorted(ids), the tie-break key."""
+    rank = np.empty(len(ids), dtype=np.intp)
+    rank[sorted(range(len(ids)), key=ids.__getitem__)] = np.arange(len(ids))
+    return rank
 
-    postings maps term -> [(doc_id, term_frequency), ...] in corpus order;
-    doc_store keeps the original documents for prompt rendering.  Only
-    build_index makes one, so every field agrees with doc_store.
+
+def _top_k(
+    ids: Sequence[str], rank: np.ndarray, positions: np.ndarray, scores: np.ndarray, k: int
+) -> tuple[str, ...]:
+    """ids of the k best positions: score descending, then doc_id ascending."""
+    if len(scores) > k:
+        kth = np.partition(scores, len(scores) - k)[len(scores) - k]
+        keep = scores >= kth
+        positions, scores = positions[keep], scores[keep]
+    order = np.lexsort((rank[positions], -scores))[:k]
+    return tuple(ids[p] for p in positions[order].tolist())
+
+
+@dataclass(frozen=True, eq=False)
+class CorpusIndex:
+    """BM25 index over a fixed corpus, as flat arrays.
+
+    Documents are numbered by their position in the corpus: ids[p] is the
+    doc_id at position p, positions maps it back, and rank[p] is its place in
+    sorted(ids).  The term numbered r by vocabulary owns the CSR row
+    indptr[r]:indptr[r + 1] of doc_pos (the positions of the documents
+    holding it, ascending) and weights (each one's BM25 weight).  doc_store
+    keeps the original documents for prompt rendering.  Only build_index
+    makes one, so every field agrees with doc_store.
     """
 
-    postings: dict[str, list[tuple[str, int]]]
-    doc_lengths: dict[str, int]
+    vocabulary: dict[str, int]
+    indptr: np.ndarray
+    doc_pos: np.ndarray
+    weights: np.ndarray
+    ids: tuple[str, ...]
+    positions: dict[str, int]
+    rank: np.ndarray
     avg_doc_length: float
-    doc_count: int
     doc_store: dict[str, Document]
+    tokenizer: Callable[[str], list[str]] = field(default=tokenize, repr=False)
+
+    @property
+    def doc_count(self) -> int:
+        return len(self.ids)
+
+    @property
+    def postings(self) -> dict[str, list[tuple[str, int]]]:
+        """term -> [(doc_id, tf), ...] in corpus order, recounted on each access."""
+        postings: dict[str, list[tuple[str, int]]] = {}
+        for doc_id, doc in self.doc_store.items():
+            for term, tf in Counter(self.tokenizer(doc.text)).items():
+                postings.setdefault(term, []).append((doc_id, tf))
+        return postings
+
+    @property
+    def doc_lengths(self) -> dict[str, int]:
+        """doc_id -> token count, recounted from the documents on each access."""
+        return {doc_id: len(self.tokenizer(doc.text)) for doc_id, doc in self.doc_store.items()}
 
 
 def build_index(
     corpus: Iterable[Document],
     tokenizer: Callable[[str], list[str]] = tokenize,
 ) -> CorpusIndex:
-    postings: dict[str, list[tuple[str, int]]] = {}
-    doc_lengths: dict[str, int] = {}
     doc_store: dict[str, Document] = {}
+    lengths: list[int] = []
+    spans: list[int] = []  # distinct terms per document
+    terms: list[str] = []  # each document's distinct terms, document after document
+    tfs: list[int] = []
     for doc in corpus:
         if doc.doc_id in doc_store:
             raise CorpusError(f"duplicate doc_id in corpus: {doc.doc_id!r}")
         doc_store[doc.doc_id] = doc
-        terms = tokenizer(doc.text)
-        doc_lengths[doc.doc_id] = len(terms)
-        counts: dict[str, int] = {}
-        for term in terms:
-            counts[term] = counts.get(term, 0) + 1
-        for term, tf in counts.items():
-            postings.setdefault(term, []).append((doc.doc_id, tf))
+        tokens = tokenizer(doc.text)
+        counts = Counter(tokens)
+        lengths.append(len(tokens))
+        spans.append(len(counts))
+        terms.extend(counts)
+        tfs.extend(counts.values())
     if not doc_store:
         raise CorpusError("corpus is empty")
-    avg = sum(doc_lengths.values()) / len(doc_lengths)
+    n = len(doc_store)
+    avg = sum(lengths) / n
+    vocabulary = {term: row for row, term in enumerate(dict.fromkeys(terms))}
+    rows = np.fromiter(map(vocabulary.__getitem__, terms), dtype=np.intp, count=len(terms))
+    doc_pos = np.repeat(np.arange(n, dtype=np.intp), spans)
+    df = np.bincount(rows, minlength=len(vocabulary))
+    # The BM25 arithmetic, elementwise in the same operand order as the
+    # textbook loop, so a sum of these weights is that loop's float exactly.
+    # math.log, not np.log: the latter's vector path may differ in the last ulp.
+    idf = np.array([math.log(1.0 + (n - d + 0.5) / (d + 0.5)) for d in df.tolist()])
+    norm = 1.0 - BM25_B + BM25_B * np.array(lengths, dtype=np.float64)[doc_pos] / avg
+    tf = np.array(tfs, dtype=np.float64)
+    weights = idf[rows] * (tf * (BM25_K1 + 1.0) / (tf + BM25_K1 * norm))
+    order = np.argsort(rows * n + doc_pos)  # by row, then by position in the row
+    indptr = np.zeros(len(vocabulary) + 1, dtype=np.intp)
+    np.cumsum(df, out=indptr[1:])
+    ids = tuple(doc_store)
     return CorpusIndex(
-        postings=postings,
-        doc_lengths=doc_lengths,
+        vocabulary=vocabulary,
+        indptr=indptr,
+        doc_pos=doc_pos[order],
+        weights=weights[order],
+        ids=ids,
+        positions={doc_id: p for p, doc_id in enumerate(ids)},
+        rank=_sorted_rank(ids),
         avg_doc_length=avg,
-        doc_count=len(doc_store),
         doc_store=doc_store,
+        tokenizer=tokenizer,
     )
 
 
-def _scores(index: CorpusIndex, terms: Iterable[str]) -> dict[str, float]:
-    """BM25 score of every document sharing a term with the query.
+def _scores(index: CorpusIndex, terms: Iterable[str]) -> np.ndarray:
+    """BM25 score of every document position (0.0 where no term matches).
 
-    Each document's sum runs in query-term order, so a score is the same
-    float however it is asked for; repeated terms count once per occurrence.
+    The query terms' CSR rows are concatenated in query-term order, repeats
+    kept, and np.bincount adds them in that order, so each score is the
+    float 0.0 + w1 + w2 + ... however it is asked for.
     """
-    scores: dict[str, float] = {}
-    for term in terms:
-        plist = index.postings.get(term)
-        if not plist:
-            continue
-        df = len(plist)
-        idf = math.log(1.0 + (index.doc_count - df + 0.5) / (df + 0.5))
-        for doc_id, tf in plist:
-            norm = 1.0 - BM25_B + BM25_B * index.doc_lengths[doc_id] / index.avg_doc_length
-            weight = idf * (tf * (BM25_K1 + 1.0) / (tf + BM25_K1 * norm))
-            scores[doc_id] = scores.get(doc_id, 0.0) + weight
-    return scores
+    spans = [
+        (index.indptr[row], index.indptr[row + 1])
+        for row in (index.vocabulary.get(term) for term in terms)
+        if row is not None
+    ]
+    if not spans:
+        return np.zeros(index.doc_count)
+    doc_pos = np.concatenate([index.doc_pos[a:b] for a, b in spans])
+    weights = np.concatenate([index.weights[a:b] for a, b in spans])
+    return np.bincount(doc_pos, weights, minlength=index.doc_count)
 
 
 def bm25_score(index: CorpusIndex, query_terms: list[str], doc_id: str) -> float:
@@ -110,9 +179,10 @@ def bm25_score(index: CorpusIndex, query_terms: list[str], doc_id: str) -> float
     Terms absent from the document (or the whole corpus) contribute zero.
     Repeated query terms contribute once per occurrence.
     """
-    if doc_id not in index.doc_store:
+    position = index.positions.get(doc_id)
+    if position is None:
         raise UnknownDocumentError(f"doc_id not in index: {doc_id!r}")
-    return _scores(index, query_terms).get(doc_id, 0.0)
+    return float(_scores(index, query_terms)[position])
 
 
 def search(index: CorpusIndex, query: str, k: int) -> RankedList:
@@ -125,47 +195,56 @@ def search(index: CorpusIndex, query: str, k: int) -> RankedList:
     if k < 1:
         raise ValueError("k must be >= 1")
     scores = _scores(index, tokenize(query))
-    ranked = sorted(
-        (doc_id for doc_id, s in scores.items() if s > 0.0),
-        key=lambda d: (-scores[d], d),
-    )
-    return RankedList(entries=tuple(ranked[:k]), source=SOURCE_INITIAL)
+    hits = np.flatnonzero(scores > 0.0)
+    return RankedList(entries=_top_k(index.ids, index.rank, hits, scores[hits], k), source=SOURCE_INITIAL)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DenseStore:
-    """Unit-normalized document embeddings, all of one dimensionality."""
+    """Unit-normalized document embeddings: row p of matrix is ids[p]'s vector.
 
-    dim: int
-    vectors: dict[str, np.ndarray]
-    embed_endpoint: str | None = None
+    The matrix is one C-contiguous float64 (N, dim) array and the only copy
+    of the vectors; rank[p] is ids[p]'s place in sorted(ids).
+    """
+
+    ids: tuple[str, ...]
+    matrix: np.ndarray
+    rank: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
-        if self.dim < 1:
-            raise ValueError("dim must be >= 1")
-        if not self.vectors:
-            raise ValueError("dense store must contain at least one vector")
-        for doc_id, vec in self.vectors.items():
-            if vec.shape != (self.dim,):
-                raise ValueError(
-                    f"vector for {doc_id!r} has shape {vec.shape}, expected ({self.dim},)"
-                )
-            norm = float(np.linalg.norm(vec))
-            if abs(norm - 1.0) > 1e-6:
-                raise ValueError(f"vector for {doc_id!r} is not unit-normalized (norm={norm})")
+        matrix = np.ascontiguousarray(self.matrix, dtype=np.float64)
+        object.__setattr__(self, "matrix", matrix)
+        if matrix.ndim != 2 or matrix.shape[0] != len(self.ids) or matrix.size == 0:
+            raise ValueError(f"matrix has shape {matrix.shape}, expected ({len(self.ids)}, dim), both >= 1")
+        if len(set(self.ids)) != len(self.ids):
+            raise ValueError("dense store ids must be distinct")
+        norms = np.sqrt(np.einsum("ij,ij->i", matrix, matrix))
+        off = np.flatnonzero(~(np.abs(norms - 1.0) <= 1e-6))  # a NaN norm is off too
+        if off.size:
+            p = off[0]
+            raise ValueError(f"vector for {self.ids[p]!r} is not unit-normalized (norm={norms[p]})")
+        object.__setattr__(self, "rank", _sorted_rank(self.ids))
+
+    @property
+    def dim(self) -> int:
+        return self.matrix.shape[1]
+
+    @property
+    def vectors(self) -> dict[str, np.ndarray]:
+        """doc_id -> a read-only view of its row; search never reads it."""
+        view = self.matrix.view()
+        view.flags.writeable = False
+        return dict(zip(self.ids, view))
 
 
-def build_dense_store(
-    entries: Iterable[tuple[str, Iterable[float]]],
-    embed_endpoint: str | None = None,
-) -> DenseStore:
+def build_dense_store(entries: Iterable[tuple[str, Iterable[float]]]) -> DenseStore:
     """Build a store from raw (doc_id, vector) pairs, normalizing each vector."""
-    vectors: dict[str, np.ndarray] = {}
+    rows: dict[str, np.ndarray] = {}
     dim: int | None = None
     for doc_id, raw in entries:
-        if doc_id in vectors:
+        if doc_id in rows:
             raise CorpusError(f"duplicate doc_id in embeddings: {doc_id!r}")
-        vec = np.asarray(list(raw), dtype=np.float64)
+        vec = np.asarray(raw if isinstance(raw, np.ndarray) else list(raw), dtype=np.float64)
         if vec.ndim != 1 or vec.size == 0:
             raise CorpusError(f"vector for {doc_id!r} must be a non-empty flat list")
         if dim is None:
@@ -174,13 +253,19 @@ def build_dense_store(
             raise CorpusError(
                 f"vector for {doc_id!r} has {vec.size} dimensions, expected {dim}"
             )
-        norm = float(np.linalg.norm(vec))
-        if norm == 0.0:
-            raise CorpusError(f"vector for {doc_id!r} is all zeros and cannot be normalized")
-        vectors[doc_id] = vec / norm
+        rows[doc_id] = vec
     if dim is None:
         raise CorpusError("embeddings input is empty")
-    return DenseStore(dim=dim, vectors=vectors, embed_endpoint=embed_endpoint)
+    ids = tuple(rows)
+    matrix = np.stack(list(rows.values()))
+    norms = np.sqrt(np.einsum("ij,ij->i", matrix, matrix))
+    bad = np.flatnonzero((norms == 0.0) | ~np.isfinite(norms))
+    if bad.size:
+        p = bad[0]
+        what = "is all zeros and cannot be normalized" if norms[p] == 0.0 else "holds a non-finite value"
+        raise CorpusError(f"vector for {ids[p]!r} {what}")
+    matrix /= norms[:, None]
+    return DenseStore(ids=ids, matrix=matrix)
 
 
 def dense_search(store: DenseStore, query_vector: Iterable[float], k: int) -> RankedList:
@@ -196,12 +281,16 @@ def dense_search(store: DenseStore, query_vector: Iterable[float], k: int) -> Ra
     q = np.asarray(list(query_vector), dtype=np.float64)
     if q.shape != (store.dim,):
         raise ValueError(f"query vector has shape {q.shape}, store expects ({store.dim},)")
+    if not np.isfinite(q).all():
+        raise ValueError("query vector holds a non-finite value")
     norm = float(np.linalg.norm(q))
     if norm > 0.0:
         q = q / norm
-    sims = {doc_id: float(np.dot(vec, q)) for doc_id, vec in store.vectors.items()}
-    ranked = sorted(sims, key=lambda d: (-sims[d], d))
-    return RankedList(entries=tuple(ranked[:k]), source=SOURCE_INITIAL)
+    # einsum, not matrix @ q: a BLAS gemv can give identical rows different
+    # sums, and then exact ties no longer break by doc_id.
+    sims = np.einsum("ij,j->i", store.matrix, q)
+    positions = np.arange(len(sims))
+    return RankedList(entries=_top_k(store.ids, store.rank, positions, sims, k), source=SOURCE_INITIAL)
 
 
 class Retriever(Protocol):
@@ -230,7 +319,7 @@ class DenseRetriever:
         doc_store: Mapping[str, Document],
         embed: Callable[[str], Iterable[float]],
     ):
-        for doc_id in store.vectors:
+        for doc_id in store.ids:
             if doc_id not in doc_store:
                 raise CorpusError(f"embedding doc_id {doc_id!r} has no document text")
         self.store = store
@@ -261,27 +350,37 @@ def _document(record: object, path: str, place: str, number: int) -> Document:
 
 def load_corpus(path: str) -> list[Document]:
     """Read a JSONL corpus of {"doc_id": ..., "text": ...} records."""
+    docs: list[Document] = []
+    seen: set[str] = set()
     with open_input(path, "corpus", CorpusError) as fh:
-        docs = [
-            _document(record, path, "line", lineno)
-            for lineno, record in iter_jsonl(fh, path, CorpusError, frozenset({"doc_id", "text"}))
-        ]
+        for lineno, record in iter_jsonl(fh, path, CorpusError, frozenset({"doc_id", "text"})):
+            doc = _document(record, path, "line", lineno)
+            if doc.doc_id in seen:
+                raise CorpusError(f"{path}: line {lineno}: duplicate doc_id {doc.doc_id!r}")
+            seen.add(doc.doc_id)
+            docs.append(doc)
     if not docs:
         raise CorpusError(f"{path}: corpus file contains no documents")
     return docs
 
 
 def load_dense_store(path: str, embed_endpoint: str | None = None) -> DenseStore:
-    """Read a JSONL embedding file of {"doc_id": ..., "vector": [...]} records."""
-    entries: list[tuple[str, list[float]]] = []
+    """Read a JSONL embedding file of {"doc_id": ..., "vector": [...]} records.
+
+    embed_endpoint is accepted for existing callers and not used.
+    """
+    entries: list[tuple[str, np.ndarray]] = []
     with open_input(path, "embeddings", CorpusError) as fh:
         for lineno, record in iter_jsonl(fh, path, CorpusError, frozenset({"doc_id", "vector"})):
             doc_id, vector = record["doc_id"], record["vector"]
             if not isinstance(doc_id, str) or not isinstance(vector, list):
                 raise CorpusError(f"{path}: line {lineno}: doc_id must be a string, vector a list")
-            entries.append((doc_id, vector))
+            try:
+                entries.append((doc_id, np.array(vector, dtype=np.float64)))
+            except (TypeError, ValueError):
+                raise CorpusError(f"{path}: line {lineno}: vector must be a list of numbers") from None
     try:
-        return build_dense_store(entries, embed_endpoint=embed_endpoint)
+        return build_dense_store(entries)
     except CorpusError as exc:
         raise CorpusError(f"{path}: {exc}") from exc
 

@@ -50,6 +50,43 @@ def oracle_bm25_scores(
     return scores
 
 
+def reference_bm25_sums(
+    doc_tokens: dict[str, list[str]],
+    query_terms: list[str],
+    k1: float = 1.2,
+    b: float = 0.75,
+) -> dict[str, float]:
+    """BM25 sums as a walk over posting lists makes them, to compare with ==.
+
+    Postings are rebuilt from the tokens in corpus order.  Each matched
+    document's score starts at 0.0 and adds one weight per query term, in
+    query order (repeats included), as idf * (tf * (k1 + 1) / (tf + k1 * norm)).
+    oracle_bm25_scores groups the same terms differently, so its floats may
+    differ from these in the last bit; these are the bits an implementation
+    that keeps this order must reproduce.  Unmatched documents are absent.
+    """
+    postings: dict[str, list[tuple[str, int]]] = {}
+    for doc_id, tokens in doc_tokens.items():
+        counts: dict[str, int] = {}
+        for term in tokens:
+            counts[term] = counts.get(term, 0) + 1
+        for term, tf in counts.items():
+            postings.setdefault(term, []).append((doc_id, tf))
+    n_docs = len(doc_tokens)
+    avg_len = sum(len(tokens) for tokens in doc_tokens.values()) / n_docs
+    scores: dict[str, float] = {}
+    for term in query_terms:
+        plist = postings.get(term)
+        if not plist:
+            continue
+        df = len(plist)
+        idf = math.log(1.0 + (n_docs - df + 0.5) / (df + 0.5))
+        for doc_id, tf in plist:
+            norm = 1.0 - b + b * len(doc_tokens[doc_id]) / avg_len
+            scores[doc_id] = scores.get(doc_id, 0.0) + idf * (tf * (k1 + 1.0) / (tf + k1 * norm))
+    return scores
+
+
 def oracle_bm25_ranking(doc_tokens: dict[str, list[str]], query_terms: list[str], k: int) -> list[str]:
     """Top-k ids: positive scores only, score descending, doc_id ascending."""
     scores = oracle_bm25_scores(doc_tokens, query_terms)

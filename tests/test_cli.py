@@ -76,6 +76,15 @@ class TestIndexCommand:
         assert rc == 1
         assert "line 2" in capsys.readouterr().err
 
+    def test_duplicate_doc_id_names_file_and_line(self, tmp_path, capsys):
+        corpus = tmp_path / "corpus.jsonl"
+        corpus.write_text('{"doc_id": "d1", "text": "a"}\n{"doc_id": "d1", "text": "b"}\n', encoding="utf-8")
+        rc = main(["index", "--corpus", str(corpus), "--out", str(tmp_path / "index.json")])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err == f"error: {corpus}: line 2: duplicate doc_id 'd1'\n"
+        assert not (tmp_path / "index.json").exists()
+
     def test_missing_corpus_named(self, tmp_path, capsys):
         corpus = tmp_path / "corpus.jsonl"
         rc = main(["index", "--corpus", str(corpus), "--out", str(tmp_path / "index.json")])

@@ -32,6 +32,7 @@ from oracles import (
     oracle_bm25_scores,
     oracle_dense_ranking,
     oracle_tokenize,
+    reference_bm25_sums,
 )
 
 
@@ -214,6 +215,52 @@ def test_order_preserved_when_added_doc_keeps_average_length(data):
     assert list(before.entries) == [d for d in after.entries if d != "zzz-new"]
 
 
+def _near_tie(scores: dict[str, float], inputs) -> bool:
+    """Whether two documents with different scoring inputs score within 1e-9.
+
+    Such scores may be equal in exact arithmetic and differ only in the last
+    bits, which depend on the order of the operations; an oracle computed in
+    another order can then rank the pair the other way.
+    """
+    ordered = sorted(scores, key=scores.__getitem__)
+    return any(
+        scores[b] - scores[a] <= 1e-9 and inputs(a) != inputs(b) for a, b in zip(ordered, ordered[1:])
+    )
+
+
+@st.composite
+def shuffled_corpus_and_query(draw):
+    """A small corpus whose ids are out of sorted order, and a query with
+    repeated terms and a term no document holds."""
+    vocab = ["a", "b", "c", "d", "e"]
+    ids = draw(st.lists(st.text(alphabet="pqrs19", min_size=1, max_size=3), min_size=1, max_size=12, unique=True))
+    ids = sorted(ids, reverse=True) if draw(st.booleans()) else draw(st.permutations(ids))
+    texts = {doc_id: " ".join(draw(st.lists(st.sampled_from(vocab), max_size=8))) for doc_id in ids}
+    query = draw(st.lists(st.sampled_from(vocab + ["unknown"]), min_size=1, max_size=6))
+    return texts, query
+
+
+@settings(max_examples=150)
+@given(shuffled_corpus_and_query())
+def test_scores_bit_identical_to_posting_walk_and_ranking_to_oracle(data):
+    texts, query = data
+    index = build_index(docs_from(texts))
+    doc_tokens = {doc_id: oracle_tokenize(text) for doc_id, text in texts.items()}
+    reference = reference_bm25_sums(doc_tokens, query)
+    for doc_id in texts:
+        assert bm25_score(index, query, doc_id) == reference.get(doc_id, 0.0)
+    exact = sorted(reference, key=lambda d: (-reference[d], d))
+    noisy = _near_tie(
+        oracle_bm25_scores(doc_tokens, query),
+        lambda d: (len(doc_tokens[d]), tuple(doc_tokens[d].count(term) for term in query)),
+    )
+    for k in sorted({1, 3, len(texts)}):
+        ranked = list(search(index, " ".join(query), k).entries)
+        assert ranked == exact[:k]
+        if not noisy:
+            assert ranked == oracle_bm25_ranking(doc_tokens, query, k)
+
+
 class TestDense:
     def test_identity_query_ranks_first_with_similarity_one(self):
         store = build_dense_store([("d1", [1.0, 0.0]), ("d2", [0.0, 1.0])])
@@ -238,6 +285,11 @@ class TestDense:
         with pytest.raises(ValueError, match="shape"):
             dense_search(store, [1.0, 0.0, 0.0], 1)
 
+    def test_non_finite_query_rejected(self):
+        store = build_dense_store([("d1", [1.0, 0.0])])
+        with pytest.raises(ValueError, match="non-finite"):
+            dense_search(store, [float("nan"), 1.0], 1)
+
     def test_ties_break_by_doc_id(self):
         store = build_dense_store([("b", [1.0, 0.0]), ("a", [1.0, 0.0])])
         assert list(dense_search(store, [1.0, 0.0], 2).entries) == ["a", "b"]
@@ -254,9 +306,55 @@ class TestDense:
         with pytest.raises(CorpusError, match="zero"):
             build_dense_store([("d1", [0.0, 0.0])])
 
+    def test_identical_vectors_come_back_adjacent_by_doc_id(self):
+        # Copies of one Gaussian vector at scattered rows must score exactly
+        # alike, so they rank together in ascending doc_id order; a BLAS
+        # matrix-vector product can sum identical rows differently.
+        rng = np.random.default_rng(11)
+        for trial in range(300):
+            n, dim = int(rng.integers(2, 601)), int(rng.integers(1, 401))
+            matrix = rng.standard_normal((n, dim))
+            copies = rng.choice(n, size=int(rng.integers(2, min(n, 6) + 1)), replace=False)
+            matrix[copies] = rng.standard_normal(dim)
+            ids = [f"d{i:03d}" for i in rng.permutation(n)]
+            store = build_dense_store(zip(ids, matrix))
+            ranked = list(dense_search(store, matrix[copies[0]], n).entries)
+            units = matrix / np.linalg.norm(matrix, axis=1, keepdims=True)
+            # With dim 1 every row of the same sign is a copy too.
+            tied = sorted(ids[p] for p in np.flatnonzero(np.isclose(units, units[copies[0]]).all(axis=1)))
+            start = ranked.index(tied[0])
+            assert ranked[start : start + len(tied)] == tied, f"trial {trial}: n={n} dim={dim}"
+
     def test_store_validates_unit_norm(self):
         with pytest.raises(ValueError, match="unit"):
-            DenseStore(dim=2, vectors={"d1": np.array([2.0, 0.0])})
+            DenseStore(ids=("d1",), matrix=np.array([[2.0, 0.0]]))
+
+
+@settings(max_examples=150)
+@given(
+    st.integers(1, 6).flatmap(
+        lambda dim: st.tuples(
+            st.lists(st.lists(st.integers(-3, 3), min_size=dim, max_size=dim).filter(any), min_size=1, max_size=15),
+            st.lists(st.integers(-3, 3), min_size=dim, max_size=dim),
+        )
+    ),
+    st.randoms(use_true_random=False),
+)
+def test_dense_search_matches_oracle_on_integer_vectors(data, rnd):
+    rows, query = data
+    ids = [f"d{i:02d}" for i in range(len(rows))]
+    rnd.shuffle(ids)
+    vectors = {doc_id: [float(x) for x in row] for doc_id, row in zip(ids, rows)}
+    store = build_dense_store(vectors.items())
+    query = [float(x) for x in query]
+    cosines = {  # up to the query's norm, which every document shares
+        doc_id: math.fsum(a * b for a, b in zip(vec, query)) / math.sqrt(math.fsum(a * a for a in vec))
+        for doc_id, vec in vectors.items()
+    }
+    if _near_tie(cosines, vectors.__getitem__):
+        return
+    for k in sorted({1, 3, len(rows)}):
+        assert list(dense_search(store, query, k).entries) == oracle_dense_ranking(vectors, query, k)
 
 
 class TestLoaders:
@@ -278,6 +376,13 @@ class TestLoaders:
         with pytest.raises(CorpusError, match="line 1"):
             load_corpus(str(path))
 
+    def test_corpus_duplicate_doc_id_names_file_and_line(self, tmp_path):
+        path = tmp_path / "corpus.jsonl"
+        path.write_text('{"doc_id": "d1", "text": "a"}\n\n{"doc_id": "d2", "text": "b"}\n{"doc_id": "d1", "text": "c"}\n')
+        with pytest.raises(CorpusError) as caught:
+            load_corpus(str(path))
+        assert str(caught.value) == f"{path}: line 4: duplicate doc_id 'd1'"
+
     def test_empty_corpus_file_rejected(self, tmp_path):
         path = tmp_path / "corpus.jsonl"
         path.write_text("\n")
@@ -296,6 +401,16 @@ class TestLoaders:
         path = tmp_path / "emb.jsonl"
         path.write_text('{"doc_id": "d1"}\n')
         with pytest.raises(CorpusError, match="line 1"):
+            load_dense_store(str(path))
+
+    @pytest.mark.parametrize(
+        "vector, message",
+        [('["a", 1.0]', "line 2: vector must be a list of numbers"), ("[null, 1.0]", "'d2' holds a non-finite value")],
+    )
+    def test_embeddings_bad_numbers_named(self, tmp_path, vector, message):
+        path = tmp_path / "emb.jsonl"
+        path.write_text(f'{{"doc_id": "d1", "vector": [1.0, 0.0]}}\n{{"doc_id": "d2", "vector": {vector}}}\n')
+        with pytest.raises(CorpusError, match=f"^{path}: .*{message}$"):
             load_dense_store(str(path))
 
     def test_index_save_load_round_trip(self, tmp_path):
