@@ -120,16 +120,16 @@ def run_batch(
 
     At most batch_size trajectories are in flight at once.  A failure in
     one trajectory is captured in its result entry and the rest proceed.
-    Backends are created sequentially, one per query, before any work
-    starts, so factories may consume ordered resources.
+    Backends are created one per query, in query order, in the calling
+    thread as the queries are submitted, so factories may consume ordered
+    resources.  Each backend is released when its query ends.
     """
     cfg = config or EngineConfig()
-    backends = [backend_factory(query_id) for query_id, _text in queries]
 
-    def one(position: int) -> TrajectoryResult:
-        query_id, text = queries[position]
+    def one(query: tuple[str, str], backend: ChatBackend) -> TrajectoryResult:
+        query_id, text = query
         try:
-            trajectory = run_trajectory(text, retriever, backends[position], cfg)
+            trajectory = run_trajectory(text, retriever, backend, cfg)
         except Exception as exc:
             return TrajectoryResult(query_id=query_id, query=text, error=f"{type(exc).__name__}: {exc}")
         return TrajectoryResult(query_id=query_id, query=text, trajectory=trajectory)
@@ -137,7 +137,9 @@ def run_batch(
     if not queries:
         return []
     with ThreadPoolExecutor(max_workers=cfg.batch_size) as pool:
-        return list(pool.map(one, range(len(queries))))
+        # A generator, so that only each query's work item holds its backend.
+        backends = (backend_factory(query_id) for query_id, _text in queries)
+        return list(pool.map(one, queries, backends))
 
 
 def write_trace_file(results: Sequence[TrajectoryResult], sink: TextIO) -> None:

@@ -28,8 +28,8 @@ _ACTION_STOP = "stop"
 class PolicyConfig:
     """Knobs for prompt rendering and the retry-with-escalation loop.
 
-    Attempt i runs at base_temperature + i * temperature_increment; the
-    schedule must stay inside [0, 1] end to end.
+    Attempt i runs at base_temperature + i * temperature_increment, rounded
+    to 10 decimal places; the schedule must stay inside [0, 1] end to end.
     """
 
     base_temperature: float = 0.0
@@ -48,12 +48,13 @@ class PolicyConfig:
             raise ValueError("max_output_tokens must be >= 1")
         if self.base_temperature < 0.0 or self.temperature_increment < 0.0:
             raise ValueError("temperatures must be non-negative")
-        top = self.base_temperature + (self.max_attempts - 1) * self.temperature_increment
-        if top > 1.0 + 1e-9:
+        top = self.temperature_for_attempt(self.max_attempts - 1)
+        if top > 1.0:
             raise ValueError(f"escalation schedule exceeds temperature 1.0 (tops out at {top})")
 
     def temperature_for_attempt(self, attempt: int) -> float:
-        return self.base_temperature + attempt * self.temperature_increment
+        # Rounded so that 0.1 * 3 is sent and traced as 0.3, not 0.30000000000000004.
+        return round(self.base_temperature + attempt * self.temperature_increment, 10)
 
 
 @functools.cache
@@ -63,6 +64,24 @@ def load_policy_prompt(prompt_path: str | None = None) -> str:
         with open_input(prompt_path, "prompt", ConfigError) as fh:
             return fh.read()
     return resources.files("smr").joinpath("prompts/decision_policy.txt").read_text(encoding="utf-8")
+
+
+# The most rendered lines _pair keeps.  This holds every document of a
+# 16k-document corpus at one snippet length; a bound near batch_size *
+# max_list_size would evict lines that the next step renders again.
+# Worst-case memory: a line has at most 6 * (len(doc_id) + doc_snippet_chars)
+# + 12 characters (json.dumps escapes a control character to six) of up to 4
+# bytes each, so at the default 2000-character snippets a full cache holds
+# about 34 MB of plain text and at most about 790 MB.  The keys also keep
+# their documents' texts alive while their lines are cached.
+_PAIR_CACHE_LINES = 16384
+
+
+@functools.lru_cache(maxsize=_PAIR_CACHE_LINES)
+def _pair(doc_id: str, text: str, doc_snippet_chars: int) -> str:
+    """One rendered ``    ("<id>", "<snippet>")`` line, without its separator."""
+    snippet = text[:doc_snippet_chars]
+    return f"    ({json.dumps(doc_id, ensure_ascii=False)}, {json.dumps(snippet, ensure_ascii=False)})"
 
 
 def render_policy_prompt(
@@ -75,29 +94,20 @@ def render_policy_prompt(
     The user text mirrors the input structure the prompt documents: the
     current query plus (docid, contents) pairs in ranked order.  Document
     contents are cut at doc_snippet_chars characters, with no ellipsis
-    marker.
+    marker.  Each pair is rendered once per (doc_id, text,
+    doc_snippet_chars) and reused from a bounded cache afterwards.
     """
     cfg = config or PolicyConfig()
     system_text = load_policy_prompt(cfg.prompt_path)
-    lines = ["{", f'"query": {json.dumps(state.query, ensure_ascii=False)},']
-    entries = state.docs.entries
-    if entries:
-        lines.append('"retrieved": [')
-        for i, doc_id in enumerate(entries):
-            doc = doc_store.get(doc_id)
-            if doc is None:
-                raise UnknownDocumentError(f"ranked list references unknown doc_id {doc_id!r}")
-            snippet = doc.text[: cfg.doc_snippet_chars]
-            pair = (
-                f"    ({json.dumps(doc_id, ensure_ascii=False)}, "
-                f"{json.dumps(snippet, ensure_ascii=False)})"
-            )
-            lines.append(pair + ("," if i < len(entries) - 1 else ""))
-        lines.append("]")
-    else:
-        lines.append('"retrieved": []')
-    lines.append("}")
-    return system_text, "\n".join(lines)
+    pairs = []
+    for doc_id in state.docs.entries:
+        doc = doc_store.get(doc_id)
+        if doc is None:
+            raise UnknownDocumentError(f"ranked list references unknown doc_id {doc_id!r}")
+        pairs.append(_pair(doc_id, doc.text, cfg.doc_snippet_chars))
+    query = json.dumps(state.query, ensure_ascii=False)
+    retrieved = "[\n" + ",\n".join(pairs) + "\n]" if pairs else "[]"
+    return system_text, f'{{\n"query": {query},\n"retrieved": {retrieved}\n}}'
 
 
 def _first_json_object(raw: str) -> dict:

@@ -81,7 +81,6 @@ class CorpusIndex:
     rank: np.ndarray
     avg_doc_length: float
     doc_store: dict[str, Document]
-    tokenizer: Callable[[str], list[str]] = field(default=tokenize, repr=False)
 
     @property
     def doc_count(self) -> int:
@@ -92,20 +91,17 @@ class CorpusIndex:
         """term -> [(doc_id, tf), ...] in corpus order, recounted on each access."""
         postings: dict[str, list[tuple[str, int]]] = {}
         for doc_id, doc in self.doc_store.items():
-            for term, tf in Counter(self.tokenizer(doc.text)).items():
+            for term, tf in Counter(tokenize(doc.text)).items():
                 postings.setdefault(term, []).append((doc_id, tf))
         return postings
 
     @property
     def doc_lengths(self) -> dict[str, int]:
         """doc_id -> token count, recounted from the documents on each access."""
-        return {doc_id: len(self.tokenizer(doc.text)) for doc_id, doc in self.doc_store.items()}
+        return {doc_id: len(tokenize(doc.text)) for doc_id, doc in self.doc_store.items()}
 
 
-def build_index(
-    corpus: Iterable[Document],
-    tokenizer: Callable[[str], list[str]] = tokenize,
-) -> CorpusIndex:
+def build_index(corpus: Iterable[Document]) -> CorpusIndex:
     doc_store: dict[str, Document] = {}
     lengths: list[int] = []
     spans: list[int] = []  # distinct terms per document
@@ -115,7 +111,7 @@ def build_index(
         if doc.doc_id in doc_store:
             raise CorpusError(f"duplicate doc_id in corpus: {doc.doc_id!r}")
         doc_store[doc.doc_id] = doc
-        tokens = tokenizer(doc.text)
+        tokens = tokenize(doc.text)
         counts = Counter(tokens)
         lengths.append(len(tokens))
         spans.append(len(counts))
@@ -150,7 +146,6 @@ def build_index(
         rank=_sorted_rank(ids),
         avg_doc_length=avg,
         doc_store=doc_store,
-        tokenizer=tokenizer,
     )
 
 

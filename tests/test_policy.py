@@ -3,7 +3,7 @@ from __future__ import annotations
 import json
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from smr.core import Action, Decision, Document, RankedList, ReasoningState, SOURCE_INITIAL
@@ -19,6 +19,7 @@ from smr.policy import (
 )
 
 from conftest import refine_json, rerank_json, stop_json
+from oracles import reference_render_user_text
 
 
 def make_state(query: str, ids: list[str]) -> ReasoningState:
@@ -45,6 +46,21 @@ class TestPolicyConfig:
     def test_default_schedule_tops_out_at_half(self):
         cfg = PolicyConfig()
         assert cfg.temperature_for_attempt(cfg.max_attempts - 1) == pytest.approx(0.5)
+
+    def test_default_schedule_is_exact(self, toy_retriever):
+        cfg = PolicyConfig()
+        assert [cfg.temperature_for_attempt(i) for i in range(cfg.max_attempts)] == [0.0, 0.1, 0.2, 0.3, 0.4, 0.5]
+        backend = ScriptedBackend(["junk"] * 6)
+        decide(make_state("q", ["d1"]), toy_retriever.doc_store, backend, cfg)
+        assert [c.temperature for c in backend.calls] == [0.0, 0.1, 0.2, 0.3, 0.4, 0.5]
+
+    def test_schedule_ending_at_one_is_accepted_and_sendable(self, toy_retriever):
+        # 0.7 + 3 * 0.1 is 1.0000000000000002 unrounded, which ChatRequest rejects.
+        cfg = PolicyConfig(base_temperature=0.7, temperature_increment=0.1, max_attempts=4)
+        assert [cfg.temperature_for_attempt(i) for i in range(4)] == [0.7, 0.8, 0.9, 1.0]
+        outcome = decide(make_state("q", ["d1"]), toy_retriever.doc_store, ScriptedBackend(["junk"] * 4), cfg)
+        assert outcome.fallback is True
+        assert outcome.temperature_used == 1.0
 
     def test_attempt_temperatures_are_arithmetic(self):
         cfg = PolicyConfig(base_temperature=0.1, temperature_increment=0.05, max_attempts=4)
@@ -121,6 +137,67 @@ class TestRenderPolicyPrompt:
         state = make_state("q", ["ghost"])
         with pytest.raises(UnknownDocumentError, match="ghost"):
             render_policy_prompt(state, {})
+
+    def test_changed_text_or_snippet_length_is_rendered_afresh(self):
+        state = make_state("q", ["d1"])
+        _, first = render_policy_prompt(state, make_store(d1="old text"), PolicyConfig(doc_snippet_chars=5))
+        _, text_changed = render_policy_prompt(state, make_store(d1="new text"), PolicyConfig(doc_snippet_chars=5))
+        _, longer = render_policy_prompt(state, make_store(d1="new text"), PolicyConfig(doc_snippet_chars=7))
+        assert '("d1", "old t")' in first
+        assert '("d1", "new t")' in text_changed
+        assert '("d1", "new tex")' in longer
+
+    def test_second_render_of_a_state_encodes_only_the_query(self, monkeypatch):
+        store = {f"d{i}": Document(f"d{i}", f"unique text {i} for the encode count") for i in range(100)}
+        state = make_state("q", list(store))
+        _, first = render_policy_prompt(state, store)
+        encoded = []
+        real_dumps = json.dumps
+
+        def counting_dumps(obj, **kwargs):
+            encoded.append(obj)
+            return real_dumps(obj, **kwargs)
+
+        monkeypatch.setattr(json, "dumps", counting_dumps)
+        _, second = render_policy_prompt(state, store)
+        assert second == first
+        assert encoded == ["q"]
+
+
+# Characters json.dumps escapes or stores wide: quotes, backslashes, line
+# breaks, other control characters, and BMP and non-BMP code points.
+_TRICKY_CHARS = st.sampled_from(['"', "\\", "\n", "\r", "\t", "\x00", "\x1f", "\x7f", "\u2028", "é", "😀", "𝄞"])
+_texts = st.text(st.one_of(_TRICKY_CHARS, st.characters(blacklist_categories=("Cs",))), max_size=40)
+_doc_ids = _texts.filter(lambda s: s and "\n" not in s and "\r" not in s)
+
+
+def _flip_first(text: str) -> str:
+    """text with its first character changed, so every snippet of it changes."""
+    return chr(ord(text[0]) ^ 1) + text[1:] if text else "x"
+
+
+@settings(max_examples=150)
+@given(st.data())
+def test_render_is_byte_identical_to_uncached_reference(data):
+    query = data.draw(_texts.filter(bool), label="query")
+    ids = data.draw(st.lists(_doc_ids, max_size=8, unique=True), label="ids")
+    chars = data.draw(st.integers(1, 50), label="doc_snippet_chars")
+    state = make_state(query, ids)
+
+    def check(store: dict[str, Document], snippet_chars: int) -> None:
+        _, user_text = render_policy_prompt(state, store, PolicyConfig(doc_snippet_chars=snippet_chars))
+        assert user_text == reference_render_user_text(query, ids, store, snippet_chars)
+
+    store = {doc_id: Document(doc_id, data.draw(_texts)) for doc_id in ids}
+    check(store, chars)
+    # The same ids again: with every text changed, then at another snippet length.
+    check({doc_id: Document(doc_id, _flip_first(doc.text)) for doc_id, doc in store.items()}, chars)
+    check(store, data.draw(st.integers(1, 50).filter(lambda n: n != chars), label="other_chars"))
+    if ids:
+        # Every line is cached now; a store without one id must still be refused.
+        missing = data.draw(st.sampled_from(ids), label="missing")
+        with pytest.raises(UnknownDocumentError):
+            render_policy_prompt(state, {k: v for k, v in store.items() if k != missing})
 
 
 class TestParseDecision:

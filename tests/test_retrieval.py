@@ -84,6 +84,14 @@ class TestBuildIndex:
         index = build_index(docs_from({"a": "x x y", "b": "x"}))
         assert index.postings["x"] == [("a", 2), ("b", 1)]
 
+    def test_mixed_case_document_found_by_mixed_case_query(self):
+        index = build_index(docs_from({"d1": "Apple pie", "d2": "banana split"}))
+        assert search(index, "Apple", 5).entries == ("d1",)
+        assert search(index, "PIE and APPLE", 5).entries == ("d1",)
+        # Documents and queries share one tokenizer: build_index takes no other.
+        with pytest.raises(TypeError):
+            build_index(docs_from({"d1": "Apple pie"}), tokenizer=str.split)
+
 
 class TestBm25Score:
     def test_hand_evaluated_three_doc_corpus(self):
