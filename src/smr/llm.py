@@ -8,12 +8,19 @@ replays canned responses for deterministic offline runs.  Only generated
 
 from __future__ import annotations
 
+import email.utils
+import http.client
+import json
+import logging
 import time
+import urllib.error
+import urllib.parse
+import urllib.request
 from dataclasses import dataclass
+from datetime import datetime, timezone
 from typing import Any, Protocol, Sequence
 
 import numpy as np
-import requests
 
 from .errors import EndpointConfigError, ScriptExhaustedError, TransportError
 
@@ -22,6 +29,10 @@ DEFAULT_MAX_RETRIES = 3
 DEFAULT_BACKOFF_START = 0.5
 # Request Timeout and Too Many Requests: the endpoint may accept the same request later.
 _TRANSIENT_4XX = (408, 429)
+# Statuses whose Retry-After header replaces the backoff (RFC 9110 section 10.2.3).
+_RETRY_AFTER_STATUSES = (408, 429, 503)
+
+logger = logging.getLogger("smr.llm")
 
 
 def count_fallback_tokens(text: str) -> int:
@@ -88,6 +99,53 @@ def _json_headers(api_key: str | None) -> dict[str, str]:
     return headers
 
 
+def _check_endpoint(url: str) -> str:
+    """Return ``url`` if it is an http(s) URL with a host; otherwise fail before any request."""
+    try:
+        parts = urllib.parse.urlsplit(url)
+        parts.port  # raises ValueError on a non-numeric or out-of-range port
+    except ValueError as exc:
+        raise EndpointConfigError(f"endpoint URL {url!r} is malformed: {exc}") from None
+    if parts.scheme not in ("http", "https") or not parts.hostname:
+        raise EndpointConfigError(f"endpoint URL {url!r} must be http:// or https:// with a host")
+    return url
+
+
+def _retry_after(value: str | None, timeout: float) -> float | None:
+    """Seconds a ``Retry-After`` header asks for, clamped to [0, timeout]; None if absent or unreadable.
+
+    RFC 9110 section 10.2.3 allows delta-seconds or an HTTP-date.
+    """
+    if value is None:
+        return None
+    value = value.strip()
+    if value.isascii() and value.isdigit():
+        seconds = float(value)
+    else:
+        try:
+            when = email.utils.parsedate_to_datetime(value)
+        except (TypeError, ValueError):
+            return None
+        if when.tzinfo is None:
+            when = when.replace(tzinfo=timezone.utc)
+        seconds = (when - datetime.now(timezone.utc)).total_seconds()
+    return min(max(seconds, 0.0), timeout)
+
+
+def _post_once(url: str, data: bytes, headers: dict[str, str], timeout: float) -> tuple[int, bytes, str | None]:
+    """One POST over a fresh connection: (status, body, Retry-After header).
+
+    A transport fault raises ``OSError`` or ``http.client.HTTPException``.
+    """
+    request = urllib.request.Request(url, data=data, headers=headers, method="POST")
+    try:
+        with urllib.request.urlopen(request, timeout=timeout) as resp:
+            return resp.status, resp.read(), None
+    except urllib.error.HTTPError as exc:
+        with exc:
+            return exc.code, exc.read(), exc.headers.get("Retry-After")
+
+
 def post_json_with_retry(
     url: str,
     payload: dict[str, Any],
@@ -98,36 +156,47 @@ def post_json_with_retry(
 ) -> dict[str, Any]:
     """POST JSON and return the parsed JSON body.
 
-    Transient failures (connection errors, timeouts, 408, 429, 5xx,
-    unparseable bodies) are retried with exponential backoff; any other
-    4xx response is a configuration problem and fails immediately.
+    Transient failures (connection errors, timeouts, 408, 429, 5xx, any
+    other non-200 status, unparseable bodies) are retried with exponential
+    backoff, or after the wait a 408, 429 or 503 names in ``Retry-After``;
+    any other 4xx response is a configuration problem and fails immediately.
     """
+    data = json.dumps(payload).encode("utf-8")
+    attempts = max_retries + 1
     last_error: Exception | None = None
-    for attempt in range(max_retries + 1):
-        if attempt > 0:
-            time.sleep(backoff_start * 2 ** (attempt - 1))
+    for attempt in range(attempts):
+        delay = backoff_start * 2**attempt
         try:
-            resp = requests.post(url, json=payload, headers=headers, timeout=timeout)
-        except requests.RequestException as exc:
+            status, raw, retry_after = _post_once(url, data, headers, timeout)
+        except ValueError as exc:  # http.client refused a header before sending anything
+            raise EndpointConfigError(f"request to {url} could not be sent: {exc}") from None
+        except (OSError, http.client.HTTPException) as exc:
             last_error = exc
-            continue
-        if 400 <= resp.status_code < 500 and resp.status_code not in _TRANSIENT_4XX:
-            raise EndpointConfigError(
-                f"endpoint rejected request with HTTP {resp.status_code}: {resp.text[:200]}"
-            )
-        if resp.status_code != 200:
-            last_error = TransportError(f"endpoint returned HTTP {resp.status_code}")
-            continue
-        try:
-            body = resp.json()
-        except ValueError as exc:
-            last_error = exc
-            continue
-        if not isinstance(body, dict):
-            last_error = TransportError("endpoint returned non-object JSON")
-            continue
-        return body
-    raise TransportError(f"request to {url} failed after {max_retries + 1} attempts: {last_error}")
+        else:
+            if 400 <= status < 500 and status not in _TRANSIENT_4XX:
+                text = raw.decode("utf-8", errors="replace")
+                raise EndpointConfigError(f"endpoint rejected request with HTTP {status}: {text[:200]}")
+            if status != 200:
+                last_error = TransportError(f"endpoint returned HTTP {status}")
+                if status in _RETRY_AFTER_STATUSES and (wait := _retry_after(retry_after, timeout)) is not None:
+                    delay = wait
+            else:
+                try:
+                    body = json.loads(raw)
+                except ValueError as exc:
+                    last_error = exc
+                else:
+                    if isinstance(body, dict):
+                        return body
+                    last_error = TransportError("endpoint returned non-object JSON")
+        if attempt + 1 == attempts:
+            break
+        logger.warning(
+            "POST %s: attempt %d/%d failed (%s: %s); retrying in %.2f s",
+            url, attempt + 1, attempts, type(last_error).__name__, last_error, delay,
+        )
+        time.sleep(delay)
+    raise TransportError(f"request to {url} failed after {attempts} attempts: {last_error}")
 
 
 class HttpBackend:
@@ -142,7 +211,7 @@ class HttpBackend:
         max_retries: int = DEFAULT_MAX_RETRIES,
         backoff_start: float = DEFAULT_BACKOFF_START,
     ):
-        self.endpoint = endpoint
+        self.endpoint = _check_endpoint(endpoint)
         self.model = model
         self.headers = _json_headers(api_key)
         self.timeout = timeout
@@ -195,7 +264,7 @@ class HttpEmbedder:
         api_key: str | None = None,
         timeout: float = DEFAULT_TIMEOUT,
     ):
-        self.endpoint = endpoint
+        self.endpoint = _check_endpoint(endpoint)
         self.model = model
         self.headers = _json_headers(api_key)
         self.timeout = timeout

@@ -52,12 +52,13 @@ class LocalEndpoint:
 
     Responses are scripted with push(); each POST consumes one.  When the
     script is empty the server answers with a stop decision.  Received
-    request payloads are recorded for assertions.
+    request payloads, and their headers, are recorded for assertions.
     """
 
     def __init__(self):
-        self.responses: list[tuple[int, bytes]] = []
+        self.responses: list[tuple[int, bytes, dict[str, str]]] = []
         self.received: list[dict] = []
+        self.received_headers: list = []  # one email.message.Message per request; lookups ignore case
         self._lock = threading.Lock()
         outer = self
 
@@ -66,13 +67,15 @@ class LocalEndpoint:
                 length = int(self.headers.get("Content-Length", 0))
                 body = self.rfile.read(length)
                 with outer._lock:
+                    outer.received_headers.append(self.headers)
                     try:
                         outer.received.append(json.loads(body))
                     except json.JSONDecodeError:
                         outer.received.append({"raw": body.decode("utf-8", "replace")})
                     if outer.responses:
-                        status, payload = outer.responses.pop(0)
+                        status, payload, extra_headers = outer.responses.pop(0)
                     else:
+                        extra_headers = {}
                         status, payload = 200, json.dumps(
                             {
                                 "choices": [{"message": {"content": '{"action": "stop"}'}}],
@@ -82,6 +85,8 @@ class LocalEndpoint:
                 self.send_response(status)
                 self.send_header("Content-Type", "application/json")
                 self.send_header("Content-Length", str(len(payload)))
+                for name, value in extra_headers.items():
+                    self.send_header(name, value)
                 self.end_headers()
                 self.wfile.write(payload)
 
@@ -89,14 +94,15 @@ class LocalEndpoint:
                 pass
 
         self._server = HTTPServer(("127.0.0.1", 0), Handler)
-        self._thread = threading.Thread(target=self._server.serve_forever, daemon=True)
+        # A short poll interval keeps shutdown() from waiting the default 0.5 s in every test.
+        self._thread = threading.Thread(target=self._server.serve_forever, args=(0.05,), daemon=True)
         self._thread.start()
         self.url = f"http://127.0.0.1:{self._server.server_port}/v1/chat/completions"
 
-    def push(self, body: dict | bytes, status: int = 200) -> None:
+    def push(self, body: dict | bytes, status: int = 200, headers: dict[str, str] | None = None) -> None:
         payload = body if isinstance(body, bytes) else json.dumps(body).encode()
         with self._lock:
-            self.responses.append((status, payload))
+            self.responses.append((status, payload, headers or {}))
 
     def push_chat(self, text: str, completion_tokens: int | None = None) -> None:
         message: dict = {"choices": [{"message": {"content": text}}]}

@@ -1,9 +1,19 @@
 from __future__ import annotations
 
 import json
+import logging
+import os
+import re
+import subprocess
+import sys
+import textwrap
+from datetime import datetime, timedelta, timezone
+from email.utils import format_datetime
+from pathlib import Path
 
 import pytest
 
+import smr
 from smr.errors import EndpointConfigError, ScriptExhaustedError, TransportError
 from smr.llm import (
     ChatRequest,
@@ -156,10 +166,126 @@ class TestHttpBackend:
     def test_auth_header_present_only_with_key(self, endpoint):
         endpoint.push_chat("x")
         HttpBackend(endpoint.url, "m", api_key="sk-1").complete(make_request())
-        # The double records payloads, not headers; exercise the no-key path too.
         endpoint.push_chat("y")
         HttpBackend(endpoint.url, "m").complete(make_request())
         assert len(endpoint.received) == 2
+        with_key, without_key = endpoint.received_headers
+        assert with_key.get("Authorization") == "Bearer sk-1"
+        assert without_key.get("Authorization") is None
+        assert with_key.get("Content-Type") == without_key.get("Content-Type") == "application/json"
+
+    def test_unsendable_header_is_config_error_without_retry(self, endpoint, monkeypatch):
+        monkeypatch.setattr("smr.llm.time.sleep", _no_sleep)
+        backend = HttpBackend(endpoint.url, "m", api_key="sk-1\nX-Injected: 1")
+        with pytest.raises(EndpointConfigError, match="could not be sent"):
+            backend.complete(make_request())
+        assert endpoint.received == []
+
+
+def _no_sleep(seconds):
+    raise AssertionError(f"slept {seconds} s")
+
+
+class TestEndpointUrl:
+    @pytest.mark.parametrize("client", [HttpBackend, HttpEmbedder])
+    @pytest.mark.parametrize(
+        "url", ["localhost:8000/v1/chat", "ftp://x/y", "http//bad", "http:///v1/chat", "http://host:port/v1"]
+    )
+    def test_malformed_url_rejected_when_built(self, monkeypatch, client, url):
+        monkeypatch.setattr("smr.llm.time.sleep", _no_sleep)
+        with pytest.raises(EndpointConfigError, match=re.escape(repr(url))):
+            client(url, "m")
+
+    @pytest.mark.parametrize("url", ["http://127.0.0.1:8000/v1/chat", "https://api.example.com/v1/chat"])
+    def test_http_and_https_accepted(self, url):
+        assert HttpBackend(url, "m").endpoint == url
+        assert HttpEmbedder(url, "m").endpoint == url
+
+
+class TestRetryAfter:
+    @pytest.fixture
+    def sleeps(self, monkeypatch):
+        recorded: list[float] = []
+        monkeypatch.setattr("smr.llm.time.sleep", recorded.append)
+        return recorded
+
+    @pytest.mark.parametrize("status", [408, 429, 503])
+    def test_delta_seconds_replace_backoff(self, endpoint, sleeps, status):
+        endpoint.push({"error": "later"}, status=status, headers={"Retry-After": "7"})
+        endpoint.push_chat("ok", completion_tokens=1)
+        backend = HttpBackend(endpoint.url, "m", backoff_start=0.01)
+        assert backend.complete(make_request()).text == "ok"
+        assert sleeps == [7.0]
+
+    def test_http_date(self, endpoint, sleeps):
+        when = datetime.now(timezone.utc) + timedelta(seconds=30)
+        endpoint.push({"error": "later"}, status=429, headers={"Retry-After": format_datetime(when, usegmt=True)})
+        endpoint.push_chat("ok", completion_tokens=1)
+        HttpBackend(endpoint.url, "m", backoff_start=0.01).complete(make_request())
+        assert len(sleeps) == 1 and 28.0 < sleeps[0] <= 30.0
+
+    @pytest.mark.parametrize(
+        "value, expected",
+        [("120", 5.0), ("0", 0.0), ("Wed, 21 Oct 2015 07:28:00 GMT", 0.0)],
+    )
+    def test_clamped_to_zero_and_timeout(self, endpoint, sleeps, value, expected):
+        endpoint.push({"error": "later"}, status=503, headers={"Retry-After": value})
+        endpoint.push_chat("ok", completion_tokens=1)
+        HttpBackend(endpoint.url, "m", timeout=5.0, backoff_start=0.01).complete(make_request())
+        assert sleeps == [expected]
+
+    @pytest.mark.parametrize(
+        "status, value", [(503, "soon"), (503, "-3"), (503, "1.5"), (500, "7"), (502, "7")]
+    )
+    def test_unreadable_or_other_status_keeps_backoff(self, endpoint, sleeps, status, value):
+        endpoint.push({"error": "later"}, status=status, headers={"Retry-After": value})
+        endpoint.push_chat("ok", completion_tokens=1)
+        HttpBackend(endpoint.url, "m", backoff_start=0.25).complete(make_request())
+        assert sleeps == [0.25]
+
+
+class TestRetryLogging:
+    def test_each_retry_logged_with_attempt_cause_and_sleep(self, endpoint, monkeypatch, caplog):
+        monkeypatch.setattr("smr.llm.time.sleep", lambda _seconds: None)
+        endpoint.push({"error": "overloaded"}, status=503)
+        endpoint.push(b"this is not json")
+        endpoint.push_chat("ok", completion_tokens=1)
+        with caplog.at_level(logging.WARNING, logger="smr.llm"):
+            HttpBackend(endpoint.url, "m", backoff_start=0.5).complete(make_request())
+        records = [r for r in caplog.records if r.name == "smr.llm"]
+        assert [r.levelno for r in records] == [logging.WARNING, logging.WARNING]
+        first, second = (r.getMessage() for r in records)
+        assert "attempt 1/4" in first and "HTTP 503" in first and "0.50 s" in first
+        assert "attempt 2/4" in second and "JSONDecodeError" in second and "1.00 s" in second
+
+    def test_connection_error_logged_and_last_attempt_not(self, monkeypatch, caplog):
+        monkeypatch.setattr("smr.llm.time.sleep", lambda _seconds: None)
+        backend = HttpBackend("http://127.0.0.1:9/nope", "m", max_retries=1, backoff_start=0.01)
+        with caplog.at_level(logging.WARNING, logger="smr.llm"), pytest.raises(TransportError, match="2 attempts"):
+            backend.complete(make_request())
+        messages = [r.getMessage() for r in caplog.records if r.name == "smr.llm"]
+        assert len(messages) == 1
+        assert "attempt 1/2" in messages[0] and "URLError" in messages[0] and "0.01 s" in messages[0]
+
+
+def test_runs_without_requests_installed(endpoint):
+    """The transport is the standard library: import the CLI and make a call with `requests` unimportable."""
+    endpoint.push_chat("no requests here", completion_tokens=2)
+    code = textwrap.dedent(
+        f"""
+        import sys
+        sys.modules["requests"] = None
+        import smr.cli
+        from smr.llm import ChatRequest, HttpBackend
+        reply = HttpBackend({endpoint.url!r}, "m").complete(ChatRequest("", "ping", 0.0, 1))
+        print(reply.text, reply.output_tokens)
+        """
+    )
+    env = dict(os.environ, PYTHONPATH=str(Path(smr.__file__).resolve().parents[1]))
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=60)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "no requests here 2"
+    assert len(endpoint.received) == 1
 
 
 class TestHttpEmbedder:
