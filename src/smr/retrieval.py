@@ -9,10 +9,12 @@ identical output.
 
 from __future__ import annotations
 
+import array
+import itertools
 import json
 import math
 import re
-from collections import Counter
+from collections import defaultdict
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Mapping, Protocol, Sequence
 
@@ -27,6 +29,9 @@ BM25_B = 0.75
 
 # Maximal runs of Unicode alphanumerics; underscore is a separator.
 _TOKEN_RE = re.compile(r"[^\W_]+")
+# Byte b to itself if it is an ASCII letter or digit, else to a space.  On
+# ASCII text, _TOKEN_RE's runs are exactly the runs of those bytes.
+_ASCII_SEPARATORS = bytes(b if b < 128 and chr(b).isalnum() else 0x20 for b in range(256))
 
 _INDEX_FORMAT = "smr-index-v1"
 
@@ -36,7 +41,11 @@ def tokenize(text: str) -> list[str]:
 
     No stemming and no stopword removal: "Models" and "model" are distinct
     terms on purpose, which is what makes acronym expansion observable.
+    ASCII text is split by a byte translation, which gives the regex's
+    tokens several times faster; other text goes through the regex.
     """
+    if text.isascii():
+        return text.lower().encode("ascii").translate(_ASCII_SEPARATORS).decode("ascii").split()
     return _TOKEN_RE.findall(text.lower())
 
 
@@ -86,61 +95,49 @@ class CorpusIndex:
     def doc_count(self) -> int:
         return len(self.ids)
 
-    @property
-    def postings(self) -> dict[str, list[tuple[str, int]]]:
-        """term -> [(doc_id, tf), ...] in corpus order, recounted on each access."""
-        postings: dict[str, list[tuple[str, int]]] = {}
-        for doc_id, doc in self.doc_store.items():
-            for term, tf in Counter(tokenize(doc.text)).items():
-                postings.setdefault(term, []).append((doc_id, tf))
-        return postings
-
-    @property
-    def doc_lengths(self) -> dict[str, int]:
-        """doc_id -> token count, recounted from the documents on each access."""
-        return {doc_id: len(tokenize(doc.text)) for doc_id, doc in self.doc_store.items()}
-
 
 def build_index(corpus: Iterable[Document]) -> CorpusIndex:
     doc_store: dict[str, Document] = {}
     lengths: list[int] = []
-    spans: list[int] = []  # distinct terms per document
-    terms: list[str] = []  # each document's distinct terms, document after document
-    tfs: list[int] = []
+    # Terms are numbered in order of first occurrence; rows holds every
+    # token's term number, document after document.
+    vocabulary: defaultdict[str, int] = defaultdict(itertools.count().__next__)
+    rows = array.array("q")
     for doc in corpus:
         if doc.doc_id in doc_store:
             raise CorpusError(f"duplicate doc_id in corpus: {doc.doc_id!r}")
         doc_store[doc.doc_id] = doc
         tokens = tokenize(doc.text)
-        counts = Counter(tokens)
         lengths.append(len(tokens))
-        spans.append(len(counts))
-        terms.extend(counts)
-        tfs.extend(counts.values())
+        rows.extend(map(vocabulary.__getitem__, tokens))
     if not doc_store:
         raise CorpusError("corpus is empty")
     n = len(doc_store)
     avg = sum(lengths) / n
-    vocabulary = {term: row for row, term in enumerate(dict.fromkeys(terms))}
-    rows = np.fromiter(map(vocabulary.__getitem__, terms), dtype=np.intp, count=len(terms))
-    doc_pos = np.repeat(np.arange(n, dtype=np.intp), spans)
-    df = np.bincount(rows, minlength=len(vocabulary))
+    # One key per token, row * n + position: the distinct keys, ascending,
+    # are the (term, document) pairs in CSR order, and their counts the tfs.
+    # The largest key is below len(vocabulary) * n, far inside int64.
+    keys, counts = np.unique(
+        np.array(rows, dtype=np.intp) * n + np.repeat(np.arange(n, dtype=np.intp), lengths),
+        return_counts=True,
+    )
+    term_rows, doc_pos = np.divmod(keys, n)
+    df = np.bincount(term_rows, minlength=len(vocabulary))
     # The BM25 arithmetic, elementwise in the same operand order as the
     # textbook loop, so a sum of these weights is that loop's float exactly.
     # math.log, not np.log: the latter's vector path may differ in the last ulp.
     idf = np.array([math.log(1.0 + (n - d + 0.5) / (d + 0.5)) for d in df.tolist()])
     norm = 1.0 - BM25_B + BM25_B * np.array(lengths, dtype=np.float64)[doc_pos] / avg
-    tf = np.array(tfs, dtype=np.float64)
-    weights = idf[rows] * (tf * (BM25_K1 + 1.0) / (tf + BM25_K1 * norm))
-    order = np.argsort(rows * n + doc_pos)  # by row, then by position in the row
+    tf = counts.astype(np.float64)
+    weights = idf[term_rows] * (tf * (BM25_K1 + 1.0) / (tf + BM25_K1 * norm))
     indptr = np.zeros(len(vocabulary) + 1, dtype=np.intp)
     np.cumsum(df, out=indptr[1:])
     ids = tuple(doc_store)
     return CorpusIndex(
-        vocabulary=vocabulary,
+        vocabulary=dict(vocabulary),
         indptr=indptr,
-        doc_pos=doc_pos[order],
-        weights=weights[order],
+        doc_pos=doc_pos,
+        weights=weights,
         ids=ids,
         positions={doc_id: p for p, doc_id in enumerate(ids)},
         rank=_sorted_rank(ids),
@@ -343,17 +340,24 @@ def _document(record: object, path: str, place: str, number: int) -> Document:
     raise CorpusError(f"{path}: {place} {number}: doc_id and text must be strings")
 
 
-def load_corpus(path: str) -> list[Document]:
-    """Read a JSONL corpus of {"doc_id": ..., "text": ...} records."""
+def _documents(records: Iterable[tuple[int, object]], path: str, place: str) -> list[Document]:
+    """Numbered records as Documents, checked by _document; a repeated doc_id
+    raises CorpusError naming the file and the record's place too."""
     docs: list[Document] = []
     seen: set[str] = set()
+    for number, record in records:
+        doc = _document(record, path, place, number)
+        if doc.doc_id in seen:
+            raise CorpusError(f"{path}: {place} {number}: duplicate doc_id {doc.doc_id!r}")
+        seen.add(doc.doc_id)
+        docs.append(doc)
+    return docs
+
+
+def load_corpus(path: str) -> list[Document]:
+    """Read a JSONL corpus of {"doc_id": ..., "text": ...} records."""
     with open_input(path, "corpus", CorpusError) as fh:
-        for lineno, record in iter_jsonl(fh, path, CorpusError, frozenset({"doc_id", "text"})):
-            doc = _document(record, path, "line", lineno)
-            if doc.doc_id in seen:
-                raise CorpusError(f"{path}: line {lineno}: duplicate doc_id {doc.doc_id!r}")
-            seen.add(doc.doc_id)
-            docs.append(doc)
+        docs = _documents(iter_jsonl(fh, path, CorpusError, frozenset({"doc_id", "text"})), path, "line")
     if not docs:
         raise CorpusError(f"{path}: corpus file contains no documents")
     return docs
@@ -386,8 +390,7 @@ def save_index(index: CorpusIndex, path: str) -> None:
         "docs": [{"doc_id": d.doc_id, "text": d.text} for d in index.doc_store.values()],
     }
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, ensure_ascii=False, separators=(",", ":"))
-        fh.write("\n")
+        fh.write(json.dumps(payload, ensure_ascii=False, separators=(",", ":")) + "\n")
 
 
 def load_index(path: str) -> CorpusIndex:
@@ -402,7 +405,7 @@ def load_index(path: str) -> CorpusIndex:
     entries = payload.get("docs")
     if not isinstance(entries, list):
         raise CorpusError(f"{path}: index file needs a docs list")
-    docs = [_document(entry, path, "docs entry", number) for number, entry in enumerate(entries, start=1)]
+    docs = _documents(enumerate(entries, start=1), path, "docs entry")
     try:
         return build_index(docs)
     except CorpusError as exc:

@@ -10,6 +10,8 @@ from __future__ import annotations
 import json
 import math
 
+import numpy as np
+
 
 def oracle_tokenize(text: str) -> list[str]:
     """Maximal runs of Unicode alphanumerics, lowercased (character walk)."""
@@ -86,6 +88,51 @@ def reference_bm25_sums(
             norm = 1.0 - b + b * len(doc_tokens[doc_id]) / avg_len
             scores[doc_id] = scores.get(doc_id, 0.0) + idf * (tf * (k1 + 1.0) / (tf + k1 * norm))
     return scores
+
+
+def reference_csr(
+    doc_tokens: dict[str, list[str]],
+    k1: float = 1.2,
+    b: float = 0.75,
+) -> tuple[dict[str, int], np.ndarray, np.ndarray, np.ndarray]:
+    """A BM25 index's (vocabulary, indptr, doc_pos, weights), built with loops.
+
+    Each document's terms are counted in order of first occurrence, and a
+    term's postings grow document after document, so terms are numbered by
+    first occurrence in the corpus and each row lists its documents'
+    positions ascending.  Each weight is idf * (tf * (k1 + 1) / (tf + k1 *
+    norm)), the float an implementation must reproduce bit for bit.  numpy
+    only hands the lists back with the index's dtypes.
+    """
+    postings: dict[str, list[tuple[int, int]]] = {}
+    for position, tokens in enumerate(doc_tokens.values()):
+        counts: dict[str, int] = {}
+        for term in tokens:
+            counts[term] = counts.get(term, 0) + 1
+        for term, tf in counts.items():
+            postings.setdefault(term, []).append((position, tf))
+    lengths = [len(tokens) for tokens in doc_tokens.values()]
+    n_docs = len(lengths)
+    avg_len = sum(lengths) / n_docs
+    vocabulary: dict[str, int] = {}
+    indptr = [0]
+    doc_pos: list[int] = []
+    weights: list[float] = []
+    for term, plist in postings.items():
+        vocabulary[term] = len(vocabulary)
+        df = len(plist)
+        idf = math.log(1.0 + (n_docs - df + 0.5) / (df + 0.5))
+        for position, tf in plist:
+            norm = 1.0 - b + b * lengths[position] / avg_len
+            doc_pos.append(position)
+            weights.append(idf * (tf * (k1 + 1.0) / (tf + k1 * norm)))
+        indptr.append(len(doc_pos))
+    return (
+        vocabulary,
+        np.array(indptr, dtype=np.intp),
+        np.array(doc_pos, dtype=np.intp),
+        np.array(weights, dtype=np.float64),
+    )
 
 
 def oracle_bm25_ranking(doc_tokens: dict[str, list[str]], query_terms: list[str], k: int) -> list[str]:

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import smr.retrieval
 from smr.core import Document, SOURCE_INITIAL
 from smr.errors import CorpusError, UnknownDocumentError
 from smr.retrieval import (
@@ -33,11 +34,21 @@ from oracles import (
     oracle_dense_ranking,
     oracle_tokenize,
     reference_bm25_sums,
+    reference_csr,
 )
 
 
 def docs_from(texts: dict[str, str]) -> list[Document]:
     return [Document(doc_id=doc_id, text=text) for doc_id, text in texts.items()]
+
+
+def assert_csr_matches_reference(index, texts: dict[str, str]) -> None:
+    """The index's arrays equal reference_csr's bit for bit, dtypes and vocabulary order included."""
+    vocabulary, indptr, doc_pos, weights = reference_csr({k: oracle_tokenize(v) for k, v in texts.items()})
+    assert list(index.vocabulary.items()) == list(vocabulary.items())
+    for got, want in ((index.indptr, indptr), (index.doc_pos, doc_pos), (index.weights, weights)):
+        assert got.dtype == want.dtype
+        assert got.tobytes() == want.tobytes()
 
 
 class TestTokenize:
@@ -60,13 +71,43 @@ class TestTokenize:
     def test_matches_character_walk_oracle(self, text):
         assert tokenize(text) == oracle_tokenize(text)
 
+    @given(st.text(alphabet=st.characters(max_codepoint=127), max_size=80))
+    def test_ascii_text_matches_character_walk_oracle(self, text):
+        assert tokenize(text) == oracle_tokenize(text)
+
+    @pytest.mark.parametrize("code", range(128))
+    def test_every_ascii_character_between_letters(self, code):
+        text = f"ab{chr(code)}CD{chr(code)}{chr(code)}9e{chr(code)}"
+        assert tokenize(text) == oracle_tokenize(text)
+
+    @pytest.mark.parametrize(
+        "text, tokens, regex",
+        [
+            ("Straße_x", ["straße", "x"], True),
+            ("İx", ["i", "x"], True),
+            ("Strasse_x", ["strasse", "x"], False),
+        ],
+    )
+    def test_only_non_ascii_text_takes_the_regex(self, monkeypatch, text, tokens, regex):
+        real = smr.retrieval._TOKEN_RE
+        calls = []
+
+        class Spy:
+            def findall(self, lowered):
+                calls.append(lowered)
+                return real.findall(lowered)
+
+        monkeypatch.setattr(smr.retrieval, "_TOKEN_RE", Spy())
+        assert tokenize(text) == tokens == oracle_tokenize(text)
+        assert bool(calls) is regex
+
 
 class TestBuildIndex:
     def test_statistics(self):
         index = build_index(docs_from({"a": "x y", "b": "x y z w", "c": "p q r s t u"}))
         assert index.doc_count == 3
         assert index.avg_doc_length == pytest.approx(4.0)
-        assert index.doc_lengths == {"a": 2, "b": 4, "c": 6}
+        assert_csr_matches_reference(index, {"a": "x y", "b": "x y z w", "c": "p q r s t u"})
 
     def test_duplicate_doc_id_named_in_error(self):
         with pytest.raises(CorpusError, match="dup1"):
@@ -78,11 +119,16 @@ class TestBuildIndex:
 
     def test_zero_token_document_allowed(self):
         index = build_index(docs_from({"a": "...", "b": "word"}))
-        assert index.doc_lengths["a"] == 0
+        assert index.avg_doc_length == 0.5
+        assert index.doc_pos.tolist() == [1]
+        assert_csr_matches_reference(index, {"a": "...", "b": "word"})
 
     def test_postings_carry_term_frequencies(self):
         index = build_index(docs_from({"a": "x x y", "b": "x"}))
-        assert index.postings["x"] == [("a", 2), ("b", 1)]
+        row = index.vocabulary["x"]
+        assert index.doc_pos[index.indptr[row]:index.indptr[row + 1]].tolist() == [0, 1]
+        # reference_csr derives the weights from the tfs 2 and 1.
+        assert_csr_matches_reference(index, {"a": "x x y", "b": "x"})
 
     def test_mixed_case_document_found_by_mixed_case_query(self):
         index = build_index(docs_from({"d1": "Apple pie", "d2": "banana split"}))
@@ -269,6 +315,22 @@ def test_scores_bit_identical_to_posting_walk_and_ranking_to_oracle(data):
             assert ranked == oracle_bm25_ranking(doc_tokens, query, k)
 
 
+@st.composite
+def mixed_corpus(draw):
+    """Ids out of sorted order; texts of ASCII and non-ASCII words and
+    separators, with repeated terms and empty documents."""
+    words = ["a", "a", "B", "x9", "a_b", "\t", "-", "É", "straße", "İ", "ﬁ", "٣", "漢", "𝔘", "\x85"]
+    ids = draw(st.lists(st.text(alphabet="pqrs19", min_size=1, max_size=3), min_size=1, max_size=10, unique=True))
+    ids = sorted(ids, reverse=True) if draw(st.booleans()) else draw(st.permutations(ids))
+    return {doc_id: " ".join(draw(st.lists(st.sampled_from(words), max_size=8))) for doc_id in ids}
+
+
+@settings(max_examples=200)
+@given(mixed_corpus())
+def test_index_arrays_bit_identical_to_reference_csr(texts):
+    assert_csr_matches_reference(build_index(docs_from(texts)), texts)
+
+
 class TestDense:
     def test_identity_query_ranks_first_with_similarity_one(self):
         store = build_dense_store([("d1", [1.0, 0.0]), ("d2", [0.0, 1.0])])
@@ -427,8 +489,8 @@ class TestLoaders:
         path = tmp_path / "index.json"
         save_index(index, str(path))
         loaded = load_index(str(path))
-        assert loaded.postings == index.postings
-        assert loaded.doc_lengths == index.doc_lengths
+        assert_csr_matches_reference(loaded, texts)
+        assert_csr_matches_reference(index, texts)
         assert loaded.avg_doc_length == pytest.approx(index.avg_doc_length)
         assert list(search(loaded, "banana", 10).entries) == list(search(index, "banana", 10).entries)
 
@@ -455,6 +517,10 @@ class TestLoaders:
             "format": "smr-index-v1",
             "docs": [{"doc_id": "d1", "text": "apple"}, {"doc_id": "d2", "text": "banana"}],
         }
+        save_index(build_index(docs_from({"d1": 'say "hi"\nto Zoë'})), str(path))
+        assert path.read_bytes() == (
+            '{"format":"smr-index-v1","docs":[{"doc_id":"d1","text":"say \\"hi\\"\\nto Zoë"}]}\n'
+        ).encode("utf-8")
 
     def test_old_index_postings_ignored(self, tmp_path):
         texts = {"d1": "apple banana", "d2": "banana cherry", "d3": "date"}
@@ -467,15 +533,15 @@ class TestLoaders:
         }))
         loaded = load_index(str(path))
         built = build_index(docs_from(texts))
-        assert loaded.postings == built.postings
-        assert loaded.doc_lengths == built.doc_lengths
+        assert_csr_matches_reference(loaded, texts)
+        assert_csr_matches_reference(built, texts)
         for query in ("banana", "apple banana cherry", "date cherry"):
             assert search(loaded, query, 10).entries == search(built, query, 10).entries
 
     @pytest.mark.parametrize(
         "docs, message",
         [
-            ([{"doc_id": "d1", "text": "a"}, {"doc_id": "d1", "text": "b"}], "duplicate doc_id in corpus: 'd1'"),
+            ([{"doc_id": "d1", "text": "a"}, {"doc_id": "d1", "text": "b"}], "docs entry 2: duplicate doc_id 'd1'"),
             ([{"doc_id": "d1", "text": 5}], "docs entry 1: doc_id and text must be strings"),
             ([{"doc_id": "d1", "text": "a"}, ["d2", "b"]], "docs entry 2: doc_id and text must be strings"),
             ([{"doc_id": "", "text": "a"}], "docs entry 1: doc_id must be a non-empty string"),
