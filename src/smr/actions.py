@@ -11,33 +11,25 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
-from .core import (
-    Decision,
-    RankedList,
-    ReasoningState,
-    SOURCE_REFINE_MERGE,
-    SOURCE_RERANK,
-)
+from .core import Decision, RankedList, ReasoningState
 from .retrieval import Retriever
 
 
 def merge_retrieved(
     current: RankedList,
     newly_retrieved: RankedList,
-    max_list_size: int | None,
+    max_list_size: int,
 ) -> RankedList:
     """Append novel retrieved ids to the current list, capped in total size.
 
     Existing entries keep their positions unconditionally; the cap only
     limits how much of the appended tail survives, dropping the newest
-    entries first.  max_list_size=None disables the cap.
+    entries first.
     """
     have = set(current.entries)
     novel = [doc_id for doc_id in newly_retrieved.entries if doc_id not in have]
-    if max_list_size is not None:
-        room = max(0, max_list_size - len(current.entries))
-        novel = novel[:room]
-    return RankedList(entries=current.entries + tuple(novel), source=SOURCE_REFINE_MERGE)
+    room = max(0, max_list_size - len(current.entries))
+    return RankedList(entries=current.entries + tuple(novel[:room]))
 
 
 @dataclass(frozen=True)
@@ -72,7 +64,7 @@ def sanitize_rerank(current: RankedList, proposed_ids: Sequence[str]) -> tuple[R
         kept.append(doc_id)
         seen.add(doc_id)
     reappended = [doc_id for doc_id in current.entries if doc_id not in seen]
-    ranked = RankedList(entries=tuple(kept) + tuple(reappended), source=SOURCE_RERANK)
+    ranked = RankedList(entries=tuple(kept) + tuple(reappended))
     return ranked, SanitizeReport(dropped_ids=tuple(dropped), reappended_ids=tuple(reappended))
 
 
@@ -81,7 +73,7 @@ def exec_refine(
     decision: Decision,
     retriever: Retriever,
     k: int,
-    max_list_size: int | None,
+    max_list_size: int,
 ) -> ReasoningState:
     """Run retrieval with the refined query and merge results into the state."""
     if decision.refined_query is None:

@@ -25,11 +25,12 @@ class StopCause(str, Enum):
     POLICY_FAILURE_FALLBACK = "policy-failure-fallback"
 
 
-# Provenance tags for ranked lists.
-SOURCE_INITIAL = "initial-retrieval"
-SOURCE_REFINE_MERGE = "refine-merge"
-SOURCE_RERANK = "rerank"
-_SOURCES = frozenset({SOURCE_INITIAL, SOURCE_REFINE_MERGE, SOURCE_RERANK})
+def require_ints(config: object, names: tuple[str, ...]) -> None:
+    """Raise ValueError for the first named attribute that is not an int (a bool is not)."""
+    for name in names:
+        value = getattr(config, name)
+        if not isinstance(value, int) or isinstance(value, bool):
+            raise ValueError(f"{name} must be an integer")
 
 
 @dataclass(frozen=True)
@@ -48,15 +49,12 @@ class Document:
 
 @dataclass(frozen=True)
 class RankedList:
-    """An ordered, duplicate-free sequence of doc_ids with a provenance tag."""
+    """An ordered, duplicate-free sequence of doc_ids."""
 
     entries: tuple[str, ...]
-    source: str
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "entries", tuple(self.entries))
-        if self.source not in _SOURCES:
-            raise ValueError(f"unknown ranked-list source: {self.source!r}")
         seen: set[str] = set()
         for doc_id in self.entries:
             if doc_id in seen:
@@ -83,10 +81,6 @@ class ReasoningState:
             raise ValueError("state query must be non-empty")
         if self.step < 0:
             raise ValueError("step must be >= 0")
-        if self.step == 0 and self.docs.source != SOURCE_INITIAL:
-            raise ValueError(
-                f"step-0 states must carry {SOURCE_INITIAL!r} docs, got {self.docs.source!r}"
-            )
 
 
 def state_equivalent(a: ReasoningState, b: ReasoningState) -> bool:

@@ -22,6 +22,7 @@ from .core import (
     StopCause,
     Trajectory,
     Transition,
+    require_ints,
     state_equivalent,
 )
 from .llm import ChatBackend
@@ -39,6 +40,7 @@ class EngineConfig:
     policy: PolicyConfig = field(default_factory=PolicyConfig)
 
     def __post_init__(self) -> None:
+        require_ints(self, ("k", "max_steps", "batch_size", "max_list_size"))
         if self.k < 1:
             raise ValueError("k must be >= 1")
         if self.max_steps < 1:

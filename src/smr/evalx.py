@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from importlib import resources
 from typing import Iterable, Mapping, Sequence
 
@@ -213,7 +213,7 @@ def aggregate_alignment(per_query_scores: Mapping[str, Sequence[float]]) -> dict
 class EvalReport:
     """Per-query metric rows plus aggregates and run-shape analytics."""
 
-    metrics: tuple[str, ...]
+    metrics: list[str]
     per_query: dict[str, dict]
     aggregate: dict[str, float]
     excluded_queries: list[str]
@@ -223,16 +223,7 @@ class EvalReport:
     step_depth_cumulative: list[int] = field(default_factory=list)
 
     def to_dict(self) -> dict:
-        return {
-            "metrics": list(self.metrics),
-            "per_query": self.per_query,
-            "aggregate": self.aggregate,
-            "excluded_queries": self.excluded_queries,
-            "failed_queries": self.failed_queries,
-            "total_output_tokens": self.total_output_tokens,
-            "action_histogram": self.action_histogram,
-            "step_depth_cumulative": self.step_depth_cumulative,
-        }
+        return asdict(self)
 
     def csv_rows(self) -> list[list[str]]:
         keys = [METRIC_KEYS[m] for m in self.metrics]
@@ -299,7 +290,7 @@ def build_report(
         for key in fields_to_mean:
             aggregate[key] = sum(entry[key] for entry in per_query.values()) / len(per_query)
     return EvalReport(
-        metrics=tuple(metrics),
+        metrics=list(metrics),
         per_query=per_query,
         aggregate=aggregate,
         excluded_queries=excluded,

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from importlib import resources
 from typing import Mapping
 
-from .core import Action, Decision, Document, ReasoningState
+from .core import Decision, Document, ReasoningState, require_ints
 from .errors import ConfigError, DecisionParseError, UnknownDocumentError
 from .llm import ChatBackend, ChatRequest
 from .records import open_input
@@ -40,6 +40,7 @@ class PolicyConfig:
     prompt_path: str | None = None
 
     def __post_init__(self) -> None:
+        require_ints(self, ("max_attempts", "doc_snippet_chars", "max_output_tokens"))
         if self.max_attempts < 1:
             raise ValueError("max_attempts must be >= 1")
         if self.doc_snippet_chars < 1:
@@ -161,19 +162,6 @@ def parse_decision(raw: str) -> Decision:
     if action == _ACTION_STOP:
         return Decision.stop()
     raise DecisionParseError(f"unknown action: {action_raw!r}")
-
-
-def format_decision(decision: Decision) -> str:
-    """Serialize a Decision back into its documented output shape."""
-    if decision.action is Action.REFINE:
-        obj: dict = {"action": _ACTION_REFINE, "refined_query": decision.refined_query}
-    elif decision.action is Action.RERANK:
-        obj = {"action": _ACTION_RERANK, "reranked": list(decision.reranked_ids or ())}
-    else:
-        return json.dumps({"action": _ACTION_STOP}, ensure_ascii=False)
-    if decision.reason is not None:
-        obj["reason"] = decision.reason
-    return json.dumps(obj, ensure_ascii=False)
 
 
 @dataclass(frozen=True)

@@ -84,7 +84,8 @@ def read_run(lines: Iterable[str], name: str) -> list[dict]:
     """Run records as written; error entries pass through unchanged.
 
     Raises CorpusError naming the line for a repeated query_id, a record with
-    neither an error nor a ranked_doc_ids list, or non-integer counts.
+    neither an error nor a ranked_doc_ids list, a ranked_doc_ids entry that
+    is not a string or repeats, or non-integer counts.
     """
     records: list[dict] = []
     seen: set[str] = set()
@@ -94,8 +95,11 @@ def read_run(lines: Iterable[str], name: str) -> list[dict]:
             raise CorpusError(f"{name}: line {lineno}: repeated query_id {query_id!r}")
         seen.add(query_id)
         if "error" not in record:
-            if type(record.get("ranked_doc_ids")) is not list:
+            ranked = record.get("ranked_doc_ids")
+            if type(ranked) is not list:
                 raise CorpusError(f"{name}: line {lineno}: record needs an error or a ranked_doc_ids list")
+            if not all(type(doc_id) is str for doc_id in ranked) or len(set(ranked)) != len(ranked):
+                raise CorpusError(f"{name}: line {lineno}: ranked_doc_ids must be distinct strings")
             if type(record.get("steps", 0)) is not int or type(record.get("output_tokens", 0)) is not int:
                 raise CorpusError(f"{name}: line {lineno}: steps and output_tokens must be integers")
         records.append(record)

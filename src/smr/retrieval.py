@@ -20,7 +20,7 @@ from typing import Callable, Iterable, Mapping, Protocol, Sequence
 
 import numpy as np
 
-from .core import Document, RankedList, SOURCE_INITIAL
+from .core import Document, RankedList
 from .errors import CorpusError, UnknownDocumentError
 from .records import iter_jsonl, open_input
 
@@ -188,7 +188,7 @@ def search(index: CorpusIndex, query: str, k: int) -> RankedList:
         raise ValueError("k must be >= 1")
     scores = _scores(index, tokenize(query))
     hits = np.flatnonzero(scores > 0.0)
-    return RankedList(entries=_top_k(index.ids, index.rank, hits, scores[hits], k), source=SOURCE_INITIAL)
+    return RankedList(entries=_top_k(index.ids, index.rank, hits, scores[hits], k))
 
 
 @dataclass(frozen=True, eq=False)
@@ -220,13 +220,6 @@ class DenseStore:
     @property
     def dim(self) -> int:
         return self.matrix.shape[1]
-
-    @property
-    def vectors(self) -> dict[str, np.ndarray]:
-        """doc_id -> a read-only view of its row; search never reads it."""
-        view = self.matrix.view()
-        view.flags.writeable = False
-        return dict(zip(self.ids, view))
 
 
 def build_dense_store(entries: Iterable[tuple[str, Iterable[float]]]) -> DenseStore:
@@ -282,7 +275,7 @@ def dense_search(store: DenseStore, query_vector: Iterable[float], k: int) -> Ra
     # sums, and then exact ties no longer break by doc_id.
     sims = np.einsum("ij,j->i", store.matrix, q)
     positions = np.arange(len(sims))
-    return RankedList(entries=_top_k(store.ids, store.rank, positions, sims, k), source=SOURCE_INITIAL)
+    return RankedList(entries=_top_k(store.ids, store.rank, positions, sims, k))
 
 
 class Retriever(Protocol):

@@ -199,13 +199,11 @@ def oracle_recall(ranking: list[str], rels: dict[str, int], k: int) -> float:
     return len(relevant.intersection(ranking[:k])) / len(relevant)
 
 
-def oracle_merge(current: list[str], retrieved: list[str], cap: int | None) -> list[str]:
+def oracle_merge(current: list[str], retrieved: list[str], cap: int) -> list[str]:
     """Reference append-only merge: novel ids to the tail, newest cut first."""
     novel = [doc_id for doc_id in retrieved if doc_id not in current]
-    if cap is not None:
-        room = cap - len(current)
-        novel = novel[:room] if room > 0 else []
-    return list(current) + novel
+    room = cap - len(current)
+    return list(current) + (novel[:room] if room > 0 else [])
 
 
 def oracle_sanitize(current: list[str], proposed: list[str]) -> list[str]:
@@ -244,3 +242,16 @@ def reference_render_user_text(query: str, entries, doc_store, doc_snippet_chars
         lines.append('"retrieved": []')
     lines.append("}")
     return "\n".join(lines)
+
+
+def format_decision(decision) -> str:
+    """Serialize a Decision back into its documented output shape."""
+    if decision.action == "refine":
+        obj: dict = {"action": "refine query", "refined_query": decision.refined_query}
+    elif decision.action == "rerank":
+        obj = {"action": "re-rank", "reranked": list(decision.reranked_ids or ())}
+    else:
+        return json.dumps({"action": "stop"}, ensure_ascii=False)
+    if decision.reason is not None:
+        obj["reason"] = decision.reason
+    return json.dumps(obj, ensure_ascii=False)

@@ -17,7 +17,7 @@ import time
 import pytest
 
 from smr.cli import RunPlan, load_queries, main
-from smr.core import Action, Document, RankedList, ReasoningState, StopCause, SOURCE_INITIAL
+from smr.core import Action, Document, RankedList, ReasoningState, StopCause
 from smr.actions import sanitize_rerank
 from smr.engine import EngineConfig, run_batch, run_trajectory, write_trace_file
 from smr.evalx import analyze_traces, load_qrels, map_at_k, ndcg_at_k, recall_at_k
@@ -66,7 +66,7 @@ def test_criterion_02_sanitizer_yields_exact_permutations():
     start = time.perf_counter()
     for _ in range(10_000):
         current_ids = rng.sample(pool, rng.randint(0, 12))
-        current = RankedList(entries=tuple(current_ids), source=SOURCE_INITIAL)
+        current = RankedList(entries=tuple(current_ids))
         if rng.random() < 0.1:
             proposed: list[str] = []  # total omission
         else:
@@ -80,15 +80,15 @@ def test_criterion_02_sanitizer_yields_exact_permutations():
     elapsed = time.perf_counter() - start
     assert elapsed < 5.0
 
-    current = RankedList(entries=("d1", "d2", "d3"), source=SOURCE_INITIAL)
+    current = RankedList(entries=("d1", "d2", "d3"))
     result, report = sanitize_rerank(current, ["d2", "d9", "d1"])
     assert result.entries == ("d2", "d1", "d3")
     assert report.dropped_ids == ("d9",)
     assert report.reappended_ids == ("d3",)
-    clean, empty_report = sanitize_rerank(RankedList(("d1", "d2"), SOURCE_INITIAL), ["d2", "d1"])
+    clean, empty_report = sanitize_rerank(RankedList(("d1", "d2")), ["d2", "d1"])
     assert clean.entries == ("d2", "d1")
     assert empty_report.dropped_ids == () and empty_report.reappended_ids == ()
-    restored, full_report = sanitize_rerank(RankedList(("d1", "d2"), SOURCE_INITIAL), [])
+    restored, full_report = sanitize_rerank(RankedList(("d1", "d2")), [])
     assert restored.entries == ("d1", "d2")
     assert full_report.reappended_ids == ("d1", "d2")
     announce(2, f"10000 random pairs sanitized to exact permutations in {elapsed:.2f}s")

@@ -5,20 +5,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from smr.actions import exec_refine, exec_rerank, merge_retrieved, sanitize_rerank
-from smr.core import (
-    Decision,
-    RankedList,
-    ReasoningState,
-    SOURCE_INITIAL,
-    SOURCE_REFINE_MERGE,
-    SOURCE_RERANK,
-)
+from smr.core import Decision, RankedList, ReasoningState
 
 from oracles import oracle_merge, oracle_sanitize
 
 
-def ranked(ids: list[str], source: str = SOURCE_INITIAL) -> RankedList:
-    return RankedList(tuple(ids), source)
+def ranked(ids: list[str]) -> RankedList:
+    return RankedList(tuple(ids))
 
 
 def make_state(query: str, ids: list[str]) -> ReasoningState:
@@ -29,7 +22,6 @@ class TestMergeRetrieved:
     def test_novel_ids_append_in_retriever_order(self):
         merged = merge_retrieved(ranked(["d1", "d2"]), ranked(["d3", "d1", "d4"]), 100)
         assert merged.entries == ("d1", "d2", "d3", "d4")
-        assert merged.source == SOURCE_REFINE_MERGE
 
     def test_nothing_novel_keeps_list(self):
         merged = merge_retrieved(ranked(["d1", "d2"]), ranked(["d2", "d1"]), 100)
@@ -47,11 +39,6 @@ class TestMergeRetrieved:
         merged = merge_retrieved(ranked(["d1", "d2", "d3"]), ranked(["d4"]), 2)
         assert merged.entries == ("d1", "d2", "d3")
 
-    def test_uncapped(self):
-        ids = [f"d{i}" for i in range(150)]
-        merged = merge_retrieved(ranked([]), ranked(ids), None)
-        assert len(merged) == 150
-
     def test_empty_retrieval(self):
         merged = merge_retrieved(ranked(["d1"]), ranked([]), 100)
         assert merged.entries == ("d1",)
@@ -63,7 +50,6 @@ class TestSanitizeRerank:
         assert result.entries == ("d2", "d1", "d3")
         assert report.dropped_ids == ("d9",)
         assert report.reappended_ids == ("d3",)
-        assert result.source == SOURCE_RERANK
 
     def test_duplicates_keep_first_occurrence(self):
         result, report = sanitize_rerank(ranked(["d1", "d2"]), ["d2", "d2", "d1", "d2"])
@@ -120,7 +106,7 @@ def test_sanitize_always_returns_exact_permutation(case):
 @given(
     st.lists(st.text(alphabet="abcdef", min_size=1, max_size=3), unique=True, max_size=8),
     st.lists(st.text(alphabet="ghijkl", min_size=1, max_size=3), unique=True, max_size=8),
-    st.one_of(st.none(), st.integers(min_value=0, max_value=12)),
+    st.integers(min_value=0, max_value=12),
 )
 def test_merge_matches_oracle_and_never_deletes(current, retrieved, cap):
     merged = merge_retrieved(ranked(current), ranked(retrieved), cap)
@@ -137,7 +123,6 @@ class TestExecRefine:
         assert post.step == 1
         assert post.docs.entries[0] == "d1"  # existing head survives
         assert set(post.docs.entries) >= {"d1", "d3", "d4"}
-        assert post.docs.source == SOURCE_REFINE_MERGE
 
     def test_never_deletes_existing_ids(self, toy_retriever):
         state = make_state("chess openings", ["d2", "d6"])

@@ -267,6 +267,25 @@ class TestRunCommand:
         assert main(["run", "--config", str(config)]) == 1
         assert capsys.readouterr().err == f"error: {config}: {key} must be a string\n"
 
+    @pytest.mark.parametrize(
+        "where, key, value",
+        [
+            ("engine", "k", 2.5),
+            ("engine", "max_steps", True),
+            ("engine", "batch_size", 2.0),
+            ("engine", "max_list_size", 100.0),
+            ("engine.policy", "max_attempts", 2.0),
+            ("engine.policy", "doc_snippet_chars", 2.5),
+            ("engine.policy", "max_output_tokens", True),
+        ],
+    )
+    def test_non_integer_count_rejected_before_any_query(self, tmp_path, capsys, where, key, value):
+        block = {key: value} if where == "engine" else {"policy": {key: value}}
+        config = build_workspace(tmp_path, engine_block=block)
+        assert main(["run", "--config", str(config)]) == 1
+        assert capsys.readouterr().err == f"error: {config}: {where}: {key} must be an integer\n"
+        assert not (tmp_path / "out").exists()
+
     @pytest.mark.parametrize("missing, kind", [("queries.jsonl", "queries"), ("index.json", "index")])
     def test_missing_input_file_named(self, tmp_path, capsys, missing, kind):
         config = build_workspace(tmp_path)
@@ -506,5 +525,10 @@ class TestToyGolden:
         shutil.copytree(DATA_DIR, toy, ignore=shutil.ignore_patterns("out"))
         assert main(["index", "--corpus", str(toy / "corpus.jsonl"), "--out", str(toy / "out" / "index.json")]) == 0
         assert main(["run", "--config", str(toy / "run_config.json")]) == 0
-        for name in ("run.jsonl", "trace.jsonl"):
-            assert (toy / "out" / name).read_bytes() == (GOLDEN_DIR / name).read_bytes(), name
+        out = toy / "out"
+        assert main([
+            "eval", "--run", str(out / "run.jsonl"), "--qrels", str(toy / "qrels.txt"),
+            "--trace", str(out / "trace.jsonl"), "--out", str(out / "report.json"),
+        ]) == 0
+        for name in ("run.jsonl", "trace.jsonl", "report.json"):
+            assert (out / name).read_bytes() == (GOLDEN_DIR / name).read_bytes(), name

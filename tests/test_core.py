@@ -10,8 +10,6 @@ from smr.core import (
     Document,
     RankedList,
     ReasoningState,
-    SOURCE_INITIAL,
-    SOURCE_RERANK,
     StopCause,
     Trajectory,
     Transition,
@@ -20,8 +18,7 @@ from smr.core import (
 
 
 def make_state(query: str, ids: tuple[str, ...], step: int = 0) -> ReasoningState:
-    source = SOURCE_INITIAL if step == 0 else SOURCE_RERANK
-    return ReasoningState(query=query, docs=RankedList(entries=ids, source=source), step=step)
+    return ReasoningState(query=query, docs=RankedList(entries=ids), step=step)
 
 
 class TestDocument:
@@ -41,25 +38,17 @@ class TestDocument:
 class TestRankedList:
     def test_duplicate_entries_rejected(self):
         with pytest.raises(ValueError, match="d1"):
-            RankedList(entries=("d1", "d2", "d1"), source=SOURCE_INITIAL)
-
-    def test_unknown_source_rejected(self):
-        with pytest.raises(ValueError, match="source"):
-            RankedList(entries=("d1",), source="somewhere")
+            RankedList(entries=("d1", "d2", "d1"))
 
     def test_empty_is_fine(self):
-        assert len(RankedList(entries=(), source=SOURCE_INITIAL)) == 0
+        assert len(RankedList(entries=())) == 0
 
     def test_list_input_coerced_to_tuple(self):
-        ranked = RankedList(entries=["d1", "d2"], source=SOURCE_INITIAL)
+        ranked = RankedList(entries=["d1", "d2"])
         assert ranked.entries == ("d1", "d2")
 
 
 class TestReasoningState:
-    def test_step_zero_requires_initial_source(self):
-        with pytest.raises(ValueError, match="initial-retrieval"):
-            ReasoningState(query="q", docs=RankedList(("d1",), SOURCE_RERANK), step=0)
-
     def test_empty_query_rejected(self):
         with pytest.raises(ValueError, match="query"):
             make_state("", ("d1",))

@@ -364,8 +364,10 @@ class TestLoadRunRecords:
             ([{**run_record("q1", []), "ranked_doc_ids": "d1"}], 1),
             ([run_record("q1", ["d1"], tokens=5), run_record("q1", ["d"], tokens=3)], 2),
             ([{**run_record("q1", ["d"]), "output_tokens": "many"}], 1),
+            ([run_record("q2", ["d"]), run_record("q1", ["d", "d", "d"])], 2),
+            ([run_record("q1", [1, 2])], 1),
         ],
-        ids=["ranking-not-a-list", "repeated-query-id", "non-integer-tokens"],
+        ids=["ranking-not-a-list", "repeated-query-id", "non-integer-tokens", "repeated-doc-id", "non-string-doc-id"],
     )
     def test_malformed_record_fails_eval_naming_line(self, tmp_path, capsys, records, lineno):
         run = tmp_path / "run.jsonl"

@@ -6,24 +6,23 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from smr.core import Action, Decision, Document, RankedList, ReasoningState, SOURCE_INITIAL
+from smr.core import Action, Decision, Document, RankedList, ReasoningState
 from smr.errors import DecisionParseError, ScriptExhaustedError, UnknownDocumentError
 from smr.llm import ScriptedBackend
 from smr.policy import (
     PolicyConfig,
     decide,
-    format_decision,
     load_policy_prompt,
     parse_decision,
     render_policy_prompt,
 )
 
 from conftest import refine_json, rerank_json, stop_json
-from oracles import reference_render_user_text
+from oracles import format_decision, reference_render_user_text
 
 
 def make_state(query: str, ids: list[str]) -> ReasoningState:
-    return ReasoningState(query=query, docs=RankedList(tuple(ids), SOURCE_INITIAL), step=0)
+    return ReasoningState(query=query, docs=RankedList(tuple(ids)), step=0)
 
 
 def make_store(**texts: str) -> dict[str, Document]:

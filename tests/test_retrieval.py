@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import smr.retrieval
-from smr.core import Document, SOURCE_INITIAL
+from smr.core import Document
 from smr.errors import CorpusError, UnknownDocumentError
 from smr.retrieval import (
     Bm25Retriever,
@@ -214,10 +214,6 @@ class TestSearch:
         with pytest.raises(ValueError):
             search(index, "a", 0)
 
-    def test_source_tag(self):
-        index = build_index(docs_from({"d1": "a"}))
-        assert search(index, "a", 5).source == SOURCE_INITIAL
-
     def test_no_match_returns_empty(self):
         index = build_index(docs_from({"d1": "apple"}))
         assert list(search(index, "zebra", 4).entries) == []
@@ -366,7 +362,7 @@ class TestDense:
 
     def test_build_normalizes(self):
         store = build_dense_store([("d1", [3.0, 4.0])])
-        assert float(np.linalg.norm(store.vectors["d1"])) == pytest.approx(1.0)
+        assert float(np.linalg.norm(store.matrix[store.ids.index("d1")])) == pytest.approx(1.0)
 
     def test_mixed_dimensions_rejected(self):
         with pytest.raises(CorpusError, match="dimensions"):
@@ -465,7 +461,7 @@ class TestLoaders:
             '{"doc_id": "d1", "vector": [1.0, 0.0]}\n{"doc_id": "d2", "vector": [0.0, 2.0]}\n'
         )
         store = load_dense_store(str(path))
-        assert store.dim == 2 and set(store.vectors) == {"d1", "d2"}
+        assert store.dim == 2 and set(store.ids) == {"d1", "d2"}
 
     def test_embeddings_error_cites_line(self, tmp_path):
         path = tmp_path / "emb.jsonl"
