@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import functools
 import json
+import math
 from dataclasses import dataclass
 from importlib import resources
 from typing import Mapping
@@ -47,6 +48,10 @@ class PolicyConfig:
             raise ValueError("doc_snippet_chars must be >= 1")
         if self.max_output_tokens < 1:
             raise ValueError("max_output_tokens must be >= 1")
+        for name in ("base_temperature", "temperature_increment"):
+            value = getattr(self, name)
+            if not isinstance(value, (int, float)) or isinstance(value, bool) or not math.isfinite(value):
+                raise ValueError(f"{name} must be a real number")
         if self.base_temperature < 0.0 or self.temperature_increment < 0.0:
             raise ValueError("temperatures must be non-negative")
         top = self.temperature_for_attempt(self.max_attempts - 1)

@@ -58,8 +58,9 @@ def iter_jsonl(lines: Iterable[str], name: str, error: type[SmrError],
         yield lineno, record
 
 
-def _dump(record: dict) -> str:
-    return json.dumps(record, ensure_ascii=False, separators=(",", ":"))
+# One encoder for every run and trace line; json.dumps with these options
+# would build a new one per call.
+_dump = json.JSONEncoder(ensure_ascii=False, separators=(",", ":")).encode
 
 
 def emit_run_record(result: TrajectoryResult, sink: TextIO) -> None:

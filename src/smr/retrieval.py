@@ -195,12 +195,15 @@ def search(index: CorpusIndex, query: str, k: int) -> RankedList:
 class DenseStore:
     """Unit-normalized document embeddings: row p of matrix is ids[p]'s vector.
 
-    The matrix is one C-contiguous float64 (N, dim) array and the only copy
-    of the vectors; rank[p] is ids[p]'s place in sorted(ids).
+    The matrix is one C-contiguous float64 (N, dim) array and the source of
+    truth for every score; matrix32 is a float32 copy derived from it, which
+    dense_search scans to pick candidates (N * dim * 4 more bytes).  rank[p]
+    is ids[p]'s place in sorted(ids).
     """
 
     ids: tuple[str, ...]
     matrix: np.ndarray
+    matrix32: np.ndarray = field(init=False, repr=False)
     rank: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
@@ -215,6 +218,7 @@ class DenseStore:
         if off.size:
             p = off[0]
             raise ValueError(f"vector for {self.ids[p]!r} is not unit-normalized (norm={norms[p]})")
+        object.__setattr__(self, "matrix32", matrix.astype(np.float32))
         object.__setattr__(self, "rank", _sorted_rank(self.ids))
 
     @property
@@ -254,16 +258,17 @@ def build_dense_store(entries: Iterable[tuple[str, Iterable[float]]]) -> DenseSt
 
 
 def dense_search(store: DenseStore, query_vector: Iterable[float], k: int) -> RankedList:
-    """Top-k by cosine similarity, exhaustively scored.
+    """Top-k by cosine similarity, exact: the same ranking as scoring every row in float64.
 
     The query vector is normalized here, so cosine similarity reduces to a
-    dot product against the unit-normalized store.  Ties break by ascending
-    doc_id.  Zero-similarity documents are kept; absence of signal is still
-    a ranking for dense scores.
+    dot product against the unit-normalized store.  A float32 scan picks
+    every row that can be in the top k; only those are scored in float64.
+    Ties break by ascending doc_id.  Zero-similarity documents are kept;
+    absence of signal is still a ranking for dense scores.
     """
     if k < 1:
         raise ValueError("k must be >= 1")
-    q = np.asarray(list(query_vector), dtype=np.float64)
+    q = np.asarray(query_vector if isinstance(query_vector, np.ndarray) else list(query_vector), dtype=np.float64)
     if q.shape != (store.dim,):
         raise ValueError(f"query vector has shape {q.shape}, store expects ({store.dim},)")
     if not np.isfinite(q).all():
@@ -271,10 +276,29 @@ def dense_search(store: DenseStore, query_vector: Iterable[float], k: int) -> Ra
     norm = float(np.linalg.norm(q))
     if norm > 0.0:
         q = q / norm
+    n = len(store.ids)
+    matrix, positions = store.matrix, np.arange(n)
+    if k < n:
+        # e bounds |float32 score - float64 score| for every row.  Rounding m
+        # and q to float32, the d products and any order of the d - 1 sums
+        # give at most gamma_{d+2} * |m| * |q| with gamma_j = j*u / (1 - j*u)
+        # and u = 2**-24; the float64 score adds gamma_d at u = 2**-53.  Rows
+        # are unit-norm within 1e-6 and q is normalized, so for any dim below
+        # 2**22 the sum is under (dim + 4) * 2**-23, which has 2x slack.
+        # Underflow adds at most 2**-150 per float32 rounding, 3 per element;
+        # dim * 2**-146 covers it.
+        e = (store.dim + 4) * 2.0**-23 + store.dim * 2.0**-146
+        approx = np.einsum("ij,j->i", store.matrix32, q.astype(np.float32))
+        t = float(np.partition(approx, n - k)[n - k])
+        # A row of the exact top k, ties with the k-th included, scores at
+        # least (exact k-th) - e >= t - 2e here, since the k rows at or above
+        # t score at least t - e in float64.  The bound is compared in float64.
+        positions = np.flatnonzero(approx >= np.float64(t - 2.0 * e))
+        matrix = matrix[positions]
     # einsum, not matrix @ q: a BLAS gemv can give identical rows different
-    # sums, and then exact ties no longer break by doc_id.
-    sims = np.einsum("ij,j->i", store.matrix, q)
-    positions = np.arange(len(sims))
+    # sums, and then exact ties no longer break by doc_id.  A row's einsum is
+    # the same float whether it is gathered or scored in the full matrix.
+    sims = np.einsum("ij,j->i", matrix, q)
     return RankedList(entries=_top_k(store.ids, store.rank, positions, sims, k))
 
 

@@ -165,6 +165,22 @@ def oracle_dense_ranking(
     return ranked[:k]
 
 
+def exhaustive_dense_ranking(ids, matrix: np.ndarray, query_vector, k: int) -> list[str]:
+    """Top-k ids from a float64 einsum over every row of a store's matrix.
+
+    The query is normalized as the search normalizes it; every row is scored,
+    none skipped, and all are sorted by score descending, then doc_id
+    ascending, with np.lexsort.  Scores that tie in float64 tie here.
+    """
+    q = np.asarray(query_vector, dtype=np.float64)
+    norm = float(np.linalg.norm(q))
+    if norm > 0.0:
+        q = q / norm
+    sims = np.einsum("ij,j->i", matrix, q)
+    order = np.lexsort((np.array(ids), -sims))
+    return [ids[p] for p in order[:k].tolist()]
+
+
 def oracle_ndcg(ranking: list[str], rels: dict[str, int], k: int) -> float:
     dcg = 0.0
     for i in range(min(k, len(ranking))):

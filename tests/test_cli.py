@@ -286,6 +286,16 @@ class TestRunCommand:
         assert capsys.readouterr().err == f"error: {config}: {where}: {key} must be an integer\n"
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize(
+        "key, value",
+        [("base_temperature", True), ("base_temperature", "0.1"), ("temperature_increment", None)],
+    )
+    def test_non_numeric_temperature_rejected_before_any_query(self, tmp_path, capsys, key, value):
+        config = build_workspace(tmp_path, engine_block={"policy": {key: value, "max_attempts": 1}})
+        assert main(["run", "--config", str(config)]) == 1
+        assert capsys.readouterr().err == f"error: {config}: engine.policy: {key} must be a real number\n"
+        assert not (tmp_path / "out").exists()
+
     @pytest.mark.parametrize("missing, kind", [("queries.jsonl", "queries"), ("index.json", "index")])
     def test_missing_input_file_named(self, tmp_path, capsys, missing, kind):
         config = build_workspace(tmp_path)

@@ -61,6 +61,17 @@ class TestPolicyConfig:
         assert outcome.fallback is True
         assert outcome.temperature_used == 1.0
 
+    @pytest.mark.parametrize("key", ["base_temperature", "temperature_increment"])
+    @pytest.mark.parametrize("value", [True, False, None, "0.1", float("nan"), float("inf")])
+    def test_temperature_must_be_a_real_number(self, key, value):
+        # True used to pass as 1 and False as 0; "0.1" and None failed inside a comparison.
+        with pytest.raises(ValueError, match=f"^{key} must be a real number$"):
+            PolicyConfig(**{key: value}, max_attempts=1)
+
+    def test_integer_temperatures_accepted(self):
+        cfg = PolicyConfig(base_temperature=0, temperature_increment=1, max_attempts=2)
+        assert [cfg.temperature_for_attempt(i) for i in range(2)] == [0.0, 1.0]
+
     def test_attempt_temperatures_are_arithmetic(self):
         cfg = PolicyConfig(base_temperature=0.1, temperature_increment=0.05, max_attempts=4)
         assert [cfg.temperature_for_attempt(i) for i in range(4)] == pytest.approx(

@@ -29,6 +29,7 @@ from smr.retrieval import (
 )
 
 from oracles import (
+    exhaustive_dense_ranking,
     oracle_bm25_ranking,
     oracle_bm25_scores,
     oracle_dense_ranking,
@@ -390,6 +391,47 @@ class TestDense:
             tied = sorted(ids[p] for p in np.flatnonzero(np.isclose(units, units[copies[0]]).all(axis=1)))
             start = ranked.index(tied[0])
             assert ranked[start : start + len(tied)] == tied, f"trial {trial}: n={n} dim={dim}"
+            # k < n takes the float32 scan; cut inside, at the end of and
+            # past the tied block, it must return a prefix of that ranking.
+            for k in {start + len(tied) - 1, start + len(tied), int(rng.integers(1, n + 1))}:
+                assert list(dense_search(store, matrix[copies[0]], k).entries) == ranked[:k], (
+                    f"trial {trial}: n={n} dim={dim} k={k}"
+                )
+
+    def test_rows_one_ulp_apart_rank_by_their_float64_scores(self):
+        # Rows 0-4 step 1 ulp at a time in their first coordinate, which is
+        # their score; float32 cannot tell them apart.  Their ids ascend with
+        # their scores, so ranking by the float32 scan and then by doc_id
+        # would give the reverse of the float64 order.
+        first = 0.6
+        near = []
+        for _ in range(5):
+            near.append([first, 0.8])
+            first = float(np.nextafter(first, 1.0))
+        far = [[float(np.cos(a)), float(np.sin(a))] for a in np.linspace(2.0, 3.0, 20)]
+        matrix = np.array(near + far)
+        ids = tuple(f"n{i}" for i in range(5)) + tuple(f"f{i:02d}" for i in range(20))
+        store = DenseStore(ids=ids, matrix=matrix)
+        query = np.array([1.0, 0.0])
+        approx = np.einsum("ij,j->i", store.matrix32[:5], query.astype(np.float32))
+        assert len(set(approx.tolist())) == 1
+        assert exhaustive_dense_ranking(ids, matrix, query, 5) == ["n4", "n3", "n2", "n1", "n0"]
+        for k in range(1, 8):
+            assert list(dense_search(store, query, k).entries) == exhaustive_dense_ranking(ids, matrix, query, k)
+
+    def test_gathered_rows_score_as_in_the_full_matrix(self):
+        # The rescore relies on a row's einsum not depending on where the
+        # row sits: a gathered copy must give the full-matrix float exactly.
+        rng = np.random.default_rng(5)
+        for dim in (1, 2, 3, 7, 8, 15, 16, 17, 255, 256, 257):
+            matrix = rng.standard_normal((300, dim))
+            store = build_dense_store(zip([f"d{i}" for i in range(300)], matrix))
+            q = rng.standard_normal(dim)
+            full = np.einsum("ij,j->i", store.matrix, q)
+            for size in (1, 2, 3, 25, 299):
+                positions = np.sort(rng.choice(300, size=size, replace=False))
+                gathered = np.einsum("ij,j->i", store.matrix[positions], q)
+                assert np.array_equal(gathered, full[positions]), f"dim={dim} size={size}"
 
     def test_store_validates_unit_norm(self):
         with pytest.raises(ValueError, match="unit"):
@@ -421,6 +463,37 @@ def test_dense_search_matches_oracle_on_integer_vectors(data, rnd):
         return
     for k in sorted({1, 3, len(rows)}):
         assert list(dense_search(store, query, k).entries) == oracle_dense_ranking(vectors, query, k)
+
+
+@settings(max_examples=300)
+@given(
+    st.integers(1, 24),
+    st.integers(1, 60),
+    st.integers(1, 70),
+    st.sampled_from(["gaussian", "integers", 1e-9, 1e-7, 1e-5]),
+    st.booleans(),
+    st.integers(0, 2**32 - 1),
+)
+def test_dense_search_equals_exhaustive_einsum_ranking(dim, n, k, rows, zero_query, seed):
+    # Odd and even dims, k below and at or above n, a zero query, exact
+    # ties (small integers) and rows spread by a small scale around one
+    # vector, with the query among them, where the float32 scan misorders
+    # rows.
+    rng = np.random.default_rng(seed)
+    if rows == "integers":
+        matrix = rng.integers(-2, 3, size=(n, dim)).astype(np.float64)
+        matrix[~matrix.any(axis=1), 0] = 1.0
+    else:
+        matrix = rng.standard_normal((n, dim))
+        if rows != "gaussian":
+            matrix = matrix[0] + rows * matrix
+    ids = [f"d{i:02d}" for i in rng.permutation(n)]
+    store = build_dense_store(zip(ids, matrix))
+    scale = rows if isinstance(rows, float) else 1.0
+    query = np.zeros(dim) if zero_query else matrix[0] + scale * rng.standard_normal(dim)
+    expected = exhaustive_dense_ranking(store.ids, store.matrix, query, k)
+    assert list(dense_search(store, query, k).entries) == expected
+    assert list(dense_search(store, iter(query.tolist()), k).entries) == expected
 
 
 class TestLoaders:
