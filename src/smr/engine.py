@@ -67,9 +67,8 @@ def run_trajectory(
     state = ReasoningState(query=query, docs=initial_docs, step=0)
     initial = state
     transitions: list[Transition] = []
-    advancing = 0
     while True:
-        if advancing >= cfg.max_steps:
+        if state.step >= cfg.max_steps:
             stop_cause = StopCause.STEP_CAP
             break
         outcome = decide(state, retriever.doc_store, backend, cfg.policy)
@@ -89,7 +88,6 @@ def run_trajectory(
         transitions.append(
             Transition(decision, state, post, outcome.output_tokens, outcome.temperature_used)
         )
-        advancing += 1
         if state_equivalent(post, state):
             state = post
             stop_cause = StopCause.EQUIVALENCE_STOP

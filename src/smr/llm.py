@@ -24,9 +24,12 @@ import numpy as np
 
 from .errors import EndpointConfigError, ScriptExhaustedError, TransportError
 
-DEFAULT_TIMEOUT = 60.0
-DEFAULT_MAX_RETRIES = 3
-DEFAULT_BACKOFF_START = 0.5
+# The transport policy, read at call time: seconds per request (and the cap
+# on a Retry-After wait), retries after the first attempt, and the first
+# backoff, doubled on each later retry.
+TIMEOUT = 60.0
+MAX_RETRIES = 3
+BACKOFF_START = 0.5
 # Request Timeout and Too Many Requests: the endpoint may accept the same request later.
 _TRANSIENT_4XX = (408, 429)
 # Statuses whose Retry-After header replaces the backoff (RFC 9110 section 10.2.3).
@@ -111,8 +114,8 @@ def _check_endpoint(url: str) -> str:
     return url
 
 
-def _retry_after(value: str | None, timeout: float) -> float | None:
-    """Seconds a ``Retry-After`` header asks for, clamped to [0, timeout]; None if absent or unreadable.
+def _retry_after(value: str | None) -> float | None:
+    """Seconds a ``Retry-After`` header asks for, clamped to [0, TIMEOUT]; None if absent or unreadable.
 
     RFC 9110 section 10.2.3 allows delta-seconds or an HTTP-date.
     """
@@ -129,31 +132,24 @@ def _retry_after(value: str | None, timeout: float) -> float | None:
         if when.tzinfo is None:
             when = when.replace(tzinfo=timezone.utc)
         seconds = (when - datetime.now(timezone.utc)).total_seconds()
-    return min(max(seconds, 0.0), timeout)
+    return min(max(seconds, 0.0), TIMEOUT)
 
 
-def _post_once(url: str, data: bytes, headers: dict[str, str], timeout: float) -> tuple[int, bytes, str | None]:
+def _post_once(url: str, data: bytes, headers: dict[str, str]) -> tuple[int, bytes, str | None]:
     """One POST over a fresh connection: (status, body, Retry-After header).
 
     A transport fault raises ``OSError`` or ``http.client.HTTPException``.
     """
     request = urllib.request.Request(url, data=data, headers=headers, method="POST")
     try:
-        with urllib.request.urlopen(request, timeout=timeout) as resp:
+        with urllib.request.urlopen(request, timeout=TIMEOUT) as resp:
             return resp.status, resp.read(), None
     except urllib.error.HTTPError as exc:
         with exc:
             return exc.code, exc.read(), exc.headers.get("Retry-After")
 
 
-def post_json_with_retry(
-    url: str,
-    payload: dict[str, Any],
-    headers: dict[str, str],
-    timeout: float = DEFAULT_TIMEOUT,
-    max_retries: int = DEFAULT_MAX_RETRIES,
-    backoff_start: float = DEFAULT_BACKOFF_START,
-) -> dict[str, Any]:
+def post_json_with_retry(url: str, payload: dict[str, Any], headers: dict[str, str]) -> dict[str, Any]:
     """POST JSON and return the parsed JSON body.
 
     Transient failures (connection errors, timeouts, 408, 429, 5xx, any
@@ -162,12 +158,12 @@ def post_json_with_retry(
     any other 4xx response is a configuration problem and fails immediately.
     """
     data = json.dumps(payload).encode("utf-8")
-    attempts = max_retries + 1
+    attempts = MAX_RETRIES + 1
     last_error: Exception | None = None
     for attempt in range(attempts):
-        delay = backoff_start * 2**attempt
+        delay = BACKOFF_START * 2**attempt
         try:
-            status, raw, retry_after = _post_once(url, data, headers, timeout)
+            status, raw, retry_after = _post_once(url, data, headers)
         except ValueError as exc:  # http.client refused a header before sending anything
             raise EndpointConfigError(f"request to {url} could not be sent: {exc}") from None
         except (OSError, http.client.HTTPException) as exc:
@@ -178,7 +174,7 @@ def post_json_with_retry(
                 raise EndpointConfigError(f"endpoint rejected request with HTTP {status}: {text[:200]}")
             if status != 200:
                 last_error = TransportError(f"endpoint returned HTTP {status}")
-                if status in _RETRY_AFTER_STATUSES and (wait := _retry_after(retry_after, timeout)) is not None:
+                if status in _RETRY_AFTER_STATUSES and (wait := _retry_after(retry_after)) is not None:
                     delay = wait
             else:
                 try:
@@ -202,21 +198,10 @@ def post_json_with_retry(
 class HttpBackend:
     """Chat-completions client for an OpenAI-style JSON endpoint."""
 
-    def __init__(
-        self,
-        endpoint: str,
-        model: str,
-        api_key: str | None = None,
-        timeout: float = DEFAULT_TIMEOUT,
-        max_retries: int = DEFAULT_MAX_RETRIES,
-        backoff_start: float = DEFAULT_BACKOFF_START,
-    ):
+    def __init__(self, endpoint: str, model: str, api_key: str | None = None):
         self.endpoint = _check_endpoint(endpoint)
         self.model = model
         self.headers = _json_headers(api_key)
-        self.timeout = timeout
-        self.max_retries = max_retries
-        self.backoff_start = backoff_start
 
     def complete(self, request: ChatRequest) -> ChatResponse:
         messages = []
@@ -229,14 +214,7 @@ class HttpBackend:
             "max_tokens": request.max_output_tokens,
             "messages": messages,
         }
-        body = post_json_with_retry(
-            self.endpoint,
-            payload,
-            self.headers,
-            timeout=self.timeout,
-            max_retries=self.max_retries,
-            backoff_start=self.backoff_start,
-        )
+        body = post_json_with_retry(self.endpoint, payload, self.headers)
         try:
             text = body["choices"][0]["message"]["content"]
         except (KeyError, IndexError, TypeError) as exc:
@@ -247,7 +225,7 @@ class HttpBackend:
         tokens: int | None = None
         if isinstance(usage, dict):
             reported = usage.get("completion_tokens")
-            if isinstance(reported, int) and reported >= 0:
+            if type(reported) is int and reported >= 0:
                 tokens = reported
         if tokens is None:
             tokens = count_fallback_tokens(text)
@@ -257,25 +235,13 @@ class HttpBackend:
 class HttpEmbedder:
     """Client for an OpenAI-style embeddings endpoint; returns unit vectors."""
 
-    def __init__(
-        self,
-        endpoint: str,
-        model: str,
-        api_key: str | None = None,
-        timeout: float = DEFAULT_TIMEOUT,
-    ):
+    def __init__(self, endpoint: str, model: str, api_key: str | None = None):
         self.endpoint = _check_endpoint(endpoint)
         self.model = model
         self.headers = _json_headers(api_key)
-        self.timeout = timeout
 
     def __call__(self, text: str) -> np.ndarray:
-        body = post_json_with_retry(
-            self.endpoint,
-            {"model": self.model, "input": [text]},
-            self.headers,
-            timeout=self.timeout,
-        )
+        body = post_json_with_retry(self.endpoint, {"model": self.model, "input": [text]}, self.headers)
         try:
             raw = body["data"][0]["embedding"]
         except (KeyError, IndexError, TypeError) as exc:

@@ -73,12 +73,12 @@ class CorpusIndex:
     """BM25 index over a fixed corpus, as flat arrays.
 
     Documents are numbered by their position in the corpus: ids[p] is the
-    doc_id at position p, positions maps it back, and rank[p] is its place in
-    sorted(ids).  The term numbered r by vocabulary owns the CSR row
-    indptr[r]:indptr[r + 1] of doc_pos (the positions of the documents
-    holding it, ascending) and weights (each one's BM25 weight).  doc_store
-    keeps the original documents for prompt rendering.  Only build_index
-    makes one, so every field agrees with doc_store.
+    doc_id at position p and rank[p] is its place in sorted(ids).  The term
+    numbered r by vocabulary owns the CSR row indptr[r]:indptr[r + 1] of
+    doc_pos (the positions of the documents holding it, ascending) and
+    weights (each one's BM25 weight).  doc_store keeps the original
+    documents for prompt rendering.  Only build_index makes one, so every
+    field agrees with doc_store.
     """
 
     vocabulary: dict[str, int]
@@ -86,7 +86,6 @@ class CorpusIndex:
     doc_pos: np.ndarray
     weights: np.ndarray
     ids: tuple[str, ...]
-    positions: dict[str, int]
     rank: np.ndarray
     avg_doc_length: float
     doc_store: dict[str, Document]
@@ -139,7 +138,6 @@ def build_index(corpus: Iterable[Document]) -> CorpusIndex:
         doc_pos=doc_pos,
         weights=weights,
         ids=ids,
-        positions={doc_id: p for p, doc_id in enumerate(ids)},
         rank=_sorted_rank(ids),
         avg_doc_length=avg,
         doc_store=doc_store,
@@ -171,10 +169,9 @@ def bm25_score(index: CorpusIndex, query_terms: list[str], doc_id: str) -> float
     Terms absent from the document (or the whole corpus) contribute zero.
     Repeated query terms contribute once per occurrence.
     """
-    position = index.positions.get(doc_id)
-    if position is None:
+    if doc_id not in index.doc_store:
         raise UnknownDocumentError(f"doc_id not in index: {doc_id!r}")
-    return float(_scores(index, query_terms)[position])
+    return float(_scores(index, query_terms)[index.ids.index(doc_id)])
 
 
 def search(index: CorpusIndex, query: str, k: int) -> RankedList:

@@ -25,6 +25,14 @@ from smr.llm import (
 )
 
 
+@pytest.fixture
+def sleeps(monkeypatch):
+    """Record each backoff instead of sleeping it."""
+    recorded: list[float] = []
+    monkeypatch.setattr("smr.llm.time.sleep", recorded.append)
+    return recorded
+
+
 def make_request(**overrides) -> ChatRequest:
     kwargs = dict(system_text="sys", user_text="user", temperature=0.0, max_output_tokens=64)
     kwargs.update(overrides)
@@ -116,50 +124,57 @@ class TestHttpBackend:
         backend = HttpBackend(endpoint.url, "m")
         assert backend.complete(make_request()).output_tokens == 3
 
-    def test_4xx_is_config_error_without_retry(self, endpoint):
+    def test_boolean_usage_is_not_a_token_count(self, endpoint):
+        endpoint.push_chat('{"action": "stop"}', completion_tokens=True)
+        backend = HttpBackend(endpoint.url, "m")
+        assert backend.complete(make_request()).output_tokens == 2
+
+    def test_4xx_is_config_error_without_retry(self, endpoint, sleeps):
         endpoint.push({"error": "bad key"}, status=401)
-        backend = HttpBackend(endpoint.url, "m", backoff_start=0.01)
+        backend = HttpBackend(endpoint.url, "m")
         with pytest.raises(EndpointConfigError, match="401"):
             backend.complete(make_request())
         assert len(endpoint.received) == 1
+        assert sleeps == []
 
     @pytest.mark.parametrize("status", [408, 429])
-    def test_timeout_and_rate_limit_retried(self, endpoint, status):
+    def test_timeout_and_rate_limit_retried(self, endpoint, sleeps, status):
         endpoint.push({"error": "slow down"}, status=status)
         endpoint.push_chat("after the wait", completion_tokens=1)
-        backend = HttpBackend(endpoint.url, "m", backoff_start=0.01)
+        backend = HttpBackend(endpoint.url, "m")
         assert backend.complete(make_request()).text == "after the wait"
         assert len(endpoint.received) == 2
 
-    def test_5xx_retried_then_succeeds(self, endpoint):
+    def test_5xx_retried_then_succeeds(self, endpoint, sleeps):
         endpoint.push({"error": "overloaded"}, status=503)
         endpoint.push_chat("recovered", completion_tokens=1)
-        backend = HttpBackend(endpoint.url, "m", backoff_start=0.01)
+        backend = HttpBackend(endpoint.url, "m")
         assert backend.complete(make_request()).text == "recovered"
         assert len(endpoint.received) == 2
 
-    def test_retries_exhausted_is_transport_error(self, endpoint):
+    def test_retries_exhausted_is_transport_error(self, endpoint, sleeps):
         for _ in range(4):
             endpoint.push({"error": "down"}, status=500)
-        backend = HttpBackend(endpoint.url, "m", max_retries=3, backoff_start=0.01)
+        backend = HttpBackend(endpoint.url, "m")
         with pytest.raises(TransportError, match="4 attempts"):
             backend.complete(make_request())
         assert len(endpoint.received) == 4
+        assert sleeps == [0.5, 1.0, 2.0]
 
-    def test_unreachable_endpoint_is_transport_error(self):
-        backend = HttpBackend("http://127.0.0.1:9/nope", "m", max_retries=1, backoff_start=0.01)
+    def test_unreachable_endpoint_is_transport_error(self, sleeps):
+        backend = HttpBackend("http://127.0.0.1:9/nope", "m")
         with pytest.raises(TransportError):
             backend.complete(make_request())
 
-    def test_malformed_body_retried(self, endpoint):
+    def test_malformed_body_retried(self, endpoint, sleeps):
         endpoint.push(b"this is not json")
         endpoint.push_chat("fine now", completion_tokens=2)
-        backend = HttpBackend(endpoint.url, "m", backoff_start=0.01)
+        backend = HttpBackend(endpoint.url, "m")
         assert backend.complete(make_request()).text == "fine now"
 
     def test_missing_choices_is_transport_error(self, endpoint):
         endpoint.push({"choices": []})
-        backend = HttpBackend(endpoint.url, "m", max_retries=0)
+        backend = HttpBackend(endpoint.url, "m")
         with pytest.raises(TransportError, match="choices"):
             backend.complete(make_request())
 
@@ -203,17 +218,11 @@ class TestEndpointUrl:
 
 
 class TestRetryAfter:
-    @pytest.fixture
-    def sleeps(self, monkeypatch):
-        recorded: list[float] = []
-        monkeypatch.setattr("smr.llm.time.sleep", recorded.append)
-        return recorded
-
     @pytest.mark.parametrize("status", [408, 429, 503])
     def test_delta_seconds_replace_backoff(self, endpoint, sleeps, status):
         endpoint.push({"error": "later"}, status=status, headers={"Retry-After": "7"})
         endpoint.push_chat("ok", completion_tokens=1)
-        backend = HttpBackend(endpoint.url, "m", backoff_start=0.01)
+        backend = HttpBackend(endpoint.url, "m")
         assert backend.complete(make_request()).text == "ok"
         assert sleeps == [7.0]
 
@@ -221,18 +230,26 @@ class TestRetryAfter:
         when = datetime.now(timezone.utc) + timedelta(seconds=30)
         endpoint.push({"error": "later"}, status=429, headers={"Retry-After": format_datetime(when, usegmt=True)})
         endpoint.push_chat("ok", completion_tokens=1)
-        HttpBackend(endpoint.url, "m", backoff_start=0.01).complete(make_request())
+        HttpBackend(endpoint.url, "m").complete(make_request())
         assert len(sleeps) == 1 and 28.0 < sleeps[0] <= 30.0
 
     @pytest.mark.parametrize(
         "value, expected",
         [("120", 5.0), ("0", 0.0), ("Wed, 21 Oct 2015 07:28:00 GMT", 0.0)],
     )
-    def test_clamped_to_zero_and_timeout(self, endpoint, sleeps, value, expected):
+    def test_clamped_to_zero_and_timeout(self, endpoint, sleeps, monkeypatch, value, expected):
+        backend = HttpBackend(endpoint.url, "m")
+        monkeypatch.setattr("smr.llm.TIMEOUT", 5.0)  # read at call time, after the backend is built
         endpoint.push({"error": "later"}, status=503, headers={"Retry-After": value})
         endpoint.push_chat("ok", completion_tokens=1)
-        HttpBackend(endpoint.url, "m", timeout=5.0, backoff_start=0.01).complete(make_request())
+        backend.complete(make_request())
         assert sleeps == [expected]
+
+    def test_clamped_to_default_timeout(self, endpoint, sleeps):
+        endpoint.push({"error": "later"}, status=503, headers={"Retry-After": "120"})
+        endpoint.push_chat("ok", completion_tokens=1)
+        HttpBackend(endpoint.url, "m").complete(make_request())
+        assert sleeps == [60.0]
 
     @pytest.mark.parametrize(
         "status, value", [(503, "soon"), (503, "-3"), (503, "1.5"), (500, "7"), (502, "7")]
@@ -240,32 +257,31 @@ class TestRetryAfter:
     def test_unreadable_or_other_status_keeps_backoff(self, endpoint, sleeps, status, value):
         endpoint.push({"error": "later"}, status=status, headers={"Retry-After": value})
         endpoint.push_chat("ok", completion_tokens=1)
-        HttpBackend(endpoint.url, "m", backoff_start=0.25).complete(make_request())
-        assert sleeps == [0.25]
+        HttpBackend(endpoint.url, "m").complete(make_request())
+        assert sleeps == [0.5]
 
 
 class TestRetryLogging:
-    def test_each_retry_logged_with_attempt_cause_and_sleep(self, endpoint, monkeypatch, caplog):
-        monkeypatch.setattr("smr.llm.time.sleep", lambda _seconds: None)
+    def test_each_retry_logged_with_attempt_cause_and_sleep(self, endpoint, sleeps, caplog):
         endpoint.push({"error": "overloaded"}, status=503)
         endpoint.push(b"this is not json")
         endpoint.push_chat("ok", completion_tokens=1)
         with caplog.at_level(logging.WARNING, logger="smr.llm"):
-            HttpBackend(endpoint.url, "m", backoff_start=0.5).complete(make_request())
+            HttpBackend(endpoint.url, "m").complete(make_request())
         records = [r for r in caplog.records if r.name == "smr.llm"]
         assert [r.levelno for r in records] == [logging.WARNING, logging.WARNING]
         first, second = (r.getMessage() for r in records)
         assert "attempt 1/4" in first and "HTTP 503" in first and "0.50 s" in first
         assert "attempt 2/4" in second and "JSONDecodeError" in second and "1.00 s" in second
 
-    def test_connection_error_logged_and_last_attempt_not(self, monkeypatch, caplog):
-        monkeypatch.setattr("smr.llm.time.sleep", lambda _seconds: None)
-        backend = HttpBackend("http://127.0.0.1:9/nope", "m", max_retries=1, backoff_start=0.01)
+    def test_connection_error_logged_and_last_attempt_not(self, monkeypatch, sleeps, caplog):
+        monkeypatch.setattr("smr.llm.MAX_RETRIES", 1)
+        backend = HttpBackend("http://127.0.0.1:9/nope", "m")
         with caplog.at_level(logging.WARNING, logger="smr.llm"), pytest.raises(TransportError, match="2 attempts"):
             backend.complete(make_request())
         messages = [r.getMessage() for r in caplog.records if r.name == "smr.llm"]
         assert len(messages) == 1
-        assert "attempt 1/2" in messages[0] and "URLError" in messages[0] and "0.01 s" in messages[0]
+        assert "attempt 1/2" in messages[0] and "URLError" in messages[0] and "0.50 s" in messages[0]
 
 
 def test_runs_without_requests_installed(endpoint):
