@@ -81,7 +81,10 @@ def load_queries(path: str) -> list[tuple[str, str]]:
         queries: list[tuple[str, str]] = []
         seen: set[str] = set()
         for lineno, record in iter_jsonl(fh, path, ConfigError, frozenset({"query_id", "text"})):
-            query_id, text = str(record["query_id"]), record["text"]
+            query_id, text = record["query_id"], record["text"]
+            if type(query_id) is not str and type(query_id) is not int:
+                raise ConfigError(f"{path}: line {lineno}: query_id must be a string or an integer")
+            query_id = str(query_id)
             if not isinstance(text, str) or not text.strip():
                 raise ConfigError(f"{path}: line {lineno}: text must be a non-empty string")
             if query_id in seen:

@@ -35,9 +35,5 @@ class TraceFormatError(SmrError):
     """A trace file line did not match the expected record shapes."""
 
 
-class AlignmentError(SmrError):
-    """The alignment judge never produced a parseable score."""
-
-
 class ConfigError(SmrError):
     """A run configuration file is missing, malformed, or inconsistent."""

@@ -8,20 +8,14 @@ are excluded from aggregate means, but stay visible in the report.
 from __future__ import annotations
 
 import math
-import re
 from dataclasses import asdict, dataclass, field
-from importlib import resources
 from typing import Iterable, Mapping, Sequence
 
-from .errors import AlignmentError, CorpusError
-from .llm import ChatBackend, ChatRequest
-from .policy import PolicyConfig
+from .errors import CorpusError
 from .records import iter_traces, open_input, read_run
 
 METRIC_KEYS = {"ndcg@10": "ndcg10", "map@10": "map10", "recall@10": "recall10"}
 DEFAULT_METRICS = ("ndcg@10", "map@10", "recall@10")
-
-_NUMBER_RE = re.compile(r"-?(?:\d+\.\d*|\.\d+|\d+)")
 
 
 def judgeable(rels: Mapping[str, int]) -> bool:
@@ -126,87 +120,24 @@ class TraceAnalytics:
     action_histogram: dict[str, int]
     step_depth_cumulative: list[int]
     per_query: dict[str, dict]
-    failed_queries: list[str]
-    total_output_tokens: int
 
 
 def analyze_traces(lines: Iterable[str], name: str = "trace") -> TraceAnalytics:
     histogram: dict[str, int] = {}
     summaries: dict[str, dict] = {}
-    failed: list[str] = []
     for trace in iter_traces(lines, name):
         for record in trace.transitions:
             action = record["action"]
             if action != "stop":
                 histogram[action] = histogram.get(action, 0) + 1
         if trace.error is not None:
-            failed.append(trace.query_id)
             continue
         summary = trace.summary or {}
         summaries[trace.query_id] = {key: summary.get(key) for key in ("steps", "output_tokens", "stop_cause")}
     depths = [info["steps"] for info in summaries.values()]
     max_depth = max(depths, default=0)
     cumulative = [sum(1 for d in depths if d >= i) for i in range(1, max_depth + 1)]
-    total_tokens = sum(info["output_tokens"] for info in summaries.values())
-    return TraceAnalytics(
-        action_histogram=histogram,
-        step_depth_cumulative=cumulative,
-        per_query=summaries,
-        failed_queries=failed,
-        total_output_tokens=total_tokens,
-    )
-
-
-def load_alignment_prompt() -> str:
-    return resources.files("smr").joinpath("prompts/intent_alignment.txt").read_text(encoding="utf-8")
-
-
-def intent_alignment(
-    query_original: str,
-    query: str,
-    backend: ChatBackend,
-    config: PolicyConfig | None = None,
-) -> float:
-    """Judge how well a rewritten query preserves the original intent.
-
-    Sends the judging prompt and reads the first decimal number in the
-    reply, clamped to [0, 1].  Unparseable replies are retried on the same
-    escalation schedule the decision policy uses; running out of attempts
-    is an evaluation error.
-    """
-    cfg = config or PolicyConfig()
-    prompt = load_alignment_prompt().format(query_original=query_original, query=query)
-    for attempt in range(cfg.max_attempts):
-        request = ChatRequest(
-            system_text="",
-            user_text=prompt,
-            temperature=cfg.temperature_for_attempt(attempt),
-            max_output_tokens=cfg.max_output_tokens,
-        )
-        response = backend.complete(request)
-        match = _NUMBER_RE.search(response.text)
-        if match:
-            return min(1.0, max(0.0, float(match.group())))
-    raise AlignmentError(f"judge produced no parseable score in {cfg.max_attempts} attempts")
-
-
-def aggregate_alignment(per_query_scores: Mapping[str, Sequence[float]]) -> dict:
-    """Two views of the same scores: mean over steps and mean over queries.
-
-    The per-step mean weights queries by how many rewrites they made; the
-    per-query mean weights every query equally.  Both are reported because
-    they answer different questions.  Queries with no rewrites are skipped.
-    """
-    all_scores = [s for scores in per_query_scores.values() for s in scores]
-    query_means = [
-        sum(scores) / len(scores) for scores in per_query_scores.values() if scores
-    ]
-    return {
-        "per_step_mean": sum(all_scores) / len(all_scores) if all_scores else None,
-        "per_step_count": len(all_scores),
-        "per_query_mean": sum(query_means) / len(query_means) if query_means else None,
-        "per_query_count": len(query_means),
-    }
+    return TraceAnalytics(action_histogram=histogram, step_depth_cumulative=cumulative, per_query=summaries)
 
 
 @dataclass(frozen=True)

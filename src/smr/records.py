@@ -58,6 +58,11 @@ def iter_jsonl(lines: Iterable[str], name: str, error: type[SmrError],
         yield lineno, record
 
 
+def _is_count(value: object) -> bool:
+    """A JSON integer >= 0; bools, floats and strings are not counts."""
+    return type(value) is int and value >= 0
+
+
 # One encoder for every run and trace line; json.dumps with these options
 # would build a new one per call.
 _dump = json.JSONEncoder(ensure_ascii=False, separators=(",", ":")).encode
@@ -86,7 +91,7 @@ def read_run(lines: Iterable[str], name: str) -> list[dict]:
 
     Raises CorpusError naming the line for a repeated query_id, a record with
     neither an error nor a ranked_doc_ids list, a ranked_doc_ids entry that
-    is not a string or repeats, or non-integer counts.
+    is not a string or repeats, or counts that are not non-negative integers.
     """
     records: list[dict] = []
     seen: set[str] = set()
@@ -101,8 +106,8 @@ def read_run(lines: Iterable[str], name: str) -> list[dict]:
                 raise CorpusError(f"{name}: line {lineno}: record needs an error or a ranked_doc_ids list")
             if not all(type(doc_id) is str for doc_id in ranked) or len(set(ranked)) != len(ranked):
                 raise CorpusError(f"{name}: line {lineno}: ranked_doc_ids must be distinct strings")
-            if type(record.get("steps", 0)) is not int or type(record.get("output_tokens", 0)) is not int:
-                raise CorpusError(f"{name}: line {lineno}: steps and output_tokens must be integers")
+            if not _is_count(record.get("steps", 0)) or not _is_count(record.get("output_tokens", 0)):
+                raise CorpusError(f"{name}: line {lineno}: steps and output_tokens must be non-negative integers")
         records.append(record)
     return records
 
@@ -157,8 +162,9 @@ def iter_traces(lines: Iterable[str], name: str) -> Iterator[QueryTrace]:
     """Each query's records, yielded once its summary or error line ends it.
 
     Raises TraceFormatError naming the line for a record of no known shape,
-    a bad action or step, non-integer summary counts, a step count the
-    transitions disagree with, or a record for a query that already ended.
+    a bad action or step, summary counts that are not non-negative integers,
+    a step count the transitions disagree with, or a record for a query that
+    already ended.
     """
     pending: dict[str, QueryTrace] = {}
     ended: set[str] = set()
@@ -182,8 +188,10 @@ def iter_traces(lines: Iterable[str], name: str) -> Iterator[QueryTrace]:
             continue
         elif "steps" in record:
             steps = record["steps"]
-            if type(steps) is not int or type(record.get("output_tokens")) is not int:
-                raise TraceFormatError(f"{name}: line {lineno}: summary needs integer steps and output_tokens")
+            if not _is_count(steps) or not _is_count(record.get("output_tokens")):
+                raise TraceFormatError(
+                    f"{name}: line {lineno}: summary needs non-negative integer steps and output_tokens"
+                )
             if steps != trace.advancing:
                 raise TraceFormatError(
                     f"{name}: line {lineno}: query {query_id!r} summary says {steps} steps, "

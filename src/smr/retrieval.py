@@ -390,7 +390,7 @@ def load_dense_store(path: str, embed_endpoint: str | None = None) -> DenseStore
                 raise CorpusError(f"{path}: line {lineno}: doc_id must be a string, vector a list")
             try:
                 entries.append((doc_id, np.array(vector, dtype=np.float64)))
-            except (TypeError, ValueError):
+            except (TypeError, ValueError, OverflowError):
                 raise CorpusError(f"{path}: line {lineno}: vector must be a list of numbers") from None
     try:
         return build_dense_store(entries)

@@ -121,6 +121,20 @@ class TestLoadQueries:
         with pytest.raises(ConfigError, match="non-empty"):
             load_queries(str(path))
 
+    @pytest.mark.parametrize(
+        "raw_id, loaded_id",
+        [("null", None), ("1.5", None), ("true", None), ('["x"]', None), ('"q1"', "q1"), ("7", "7")],
+    )
+    def test_query_id_must_be_string_or_integer(self, tmp_path, raw_id, loaded_id):
+        path = tmp_path / "queries.jsonl"
+        path.write_text(f'{{"query_id": {raw_id}, "text": "one"}}\n')
+        if loaded_id is None:
+            with pytest.raises(ConfigError) as excinfo:
+                load_queries(str(path))
+            assert str(excinfo.value) == f"{path}: line 1: query_id must be a string or an integer"
+        else:
+            assert load_queries(str(path)) == [(loaded_id, "one")]
+
 
 class TestRunCommand:
     def test_scripted_toy_run(self, tmp_path, capsys):
@@ -241,6 +255,17 @@ class TestRunCommand:
         config.write_text(json.dumps(raw))
         assert main(["run", "--config", str(config)]) == 1
         assert "retriever.corpus" in capsys.readouterr().err
+
+    def test_huge_integer_in_embeddings_is_a_corpus_error(self, tmp_path, capsys):
+        config = build_workspace(tmp_path)
+        raw = json.loads(config.read_text())
+        raw["retriever"] = DENSE_BLOCK
+        config.write_text(json.dumps(raw))
+        shutil.copy(DATA_DIR / "corpus.jsonl", tmp_path / "corpus.jsonl")
+        store = tmp_path / "store.jsonl"
+        store.write_text('{"doc_id": "a", "vector": [1' + "0" * 400 + ", 0]}\n")
+        assert main(["run", "--config", str(config)]) == 1
+        assert capsys.readouterr().err == f"error: {store}: line 1: vector must be a list of numbers\n"
 
     def test_unknown_engine_key_rejected(self, tmp_path, capsys):
         config = build_workspace(tmp_path, engine_block={"step_limit": 4})

@@ -8,18 +8,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from smr.cli import main
-from smr.errors import AlignmentError, CorpusError, TraceFormatError
+from smr.errors import CorpusError, TraceFormatError
 from smr.evalx import (
     DEFAULT_METRICS,
     EvalReport,
     Qrels,
     TraceAnalytics,
-    aggregate_alignment,
     analyze_traces,
     build_report,
-    intent_alignment,
     judgeable,
-    load_alignment_prompt,
     load_qrels,
     load_run_records,
     map_at_k,
@@ -27,8 +24,6 @@ from smr.evalx import (
     parse_qrels,
     recall_at_k,
 )
-from smr.llm import ScriptedBackend
-from smr.policy import PolicyConfig
 
 from oracles import oracle_map, oracle_ndcg, oracle_recall
 
@@ -192,7 +187,6 @@ class TestAnalyzeTraces:
         )
         analytics = analyze_traces(lines)
         assert analytics.step_depth_cumulative == [4, 3, 3, 1, 1, 1]
-        assert analytics.total_output_tokens == 252
 
     def test_histogram_excludes_stop(self):
         lines = trace_for("a", ["refine", "rerank", "refine", "stop"], 10)
@@ -208,7 +202,6 @@ class TestAnalyzeTraces:
     def test_failed_queries_collected(self):
         lines = [json.dumps({"query_id": "bad", "error": "TransportError: boom"})]
         analytics = analyze_traces(lines)
-        assert analytics.failed_queries == ["bad"]
         assert analytics.per_query == {}
 
     def test_invalid_json_names_line(self):
@@ -238,7 +231,7 @@ class TestAnalyzeTraces:
 
     def test_empty_trace(self):
         analytics = analyze_traces([])
-        assert analytics == TraceAnalytics({}, [], {}, [], 0)
+        assert analytics == TraceAnalytics({}, [], {})
 
     def test_blank_lines_ignored(self):
         lines = ["", summary_line("a", 0, 3), "  "]
@@ -252,80 +245,13 @@ class TestAnalyzeTraces:
                 "line 1: transition needs an integer step",
             ),
             (trace_for("a", ["stop"], 1) + trace_for("a", ["stop"], 1), "line 3: query 'a' already ended"),
+            (trace_for("a", ["stop"], -7), "line 2: summary needs non-negative integer steps and output_tokens"),
         ],
-        ids=["transition-without-step", "query-repeated-after-summary"],
+        ids=["transition-without-step", "query-repeated-after-summary", "negative-output-tokens"],
     )
     def test_malformed_trace_names_file_and_line(self, lines, message):
         with pytest.raises(TraceFormatError, match=r"^trace\.jsonl: " + message):
             analyze_traces(lines, name="trace.jsonl")
-
-
-class TestIntentAlignment:
-    def test_plain_decimal(self):
-        assert intent_alignment("a", "b", ScriptedBackend(["0.95"])) == pytest.approx(0.95)
-
-    def test_number_in_prose_clamped_high(self):
-        backend = ScriptedBackend(["Score: 1.2 because the rewrite drifts"])
-        assert intent_alignment("a", "b", backend) == 1.0
-
-    def test_negative_clamped_low(self):
-        assert intent_alignment("a", "b", ScriptedBackend(["-0.3"])) == 0.0
-
-    def test_first_number_wins(self):
-        assert intent_alignment("a", "b", ScriptedBackend(["0.8, maybe 0.9"])) == pytest.approx(0.8)
-
-    def test_retries_on_numberless_reply(self):
-        backend = ScriptedBackend(["no score here", "still nothing", "0.5"])
-        assert intent_alignment("a", "b", backend) == pytest.approx(0.5)
-        temps = [call.temperature for call in backend.calls]
-        assert temps == pytest.approx([0.0, 0.1, 0.2])
-
-    def test_exhaustion_is_an_error(self):
-        backend = ScriptedBackend(["nope"] * 6)
-        with pytest.raises(AlignmentError, match="6 attempts"):
-            intent_alignment("a", "b", backend)
-
-    def test_prompt_carries_both_queries(self):
-        backend = ScriptedBackend(["1.0"])
-        intent_alignment("what is an LLM", "LLM definition", backend)
-        request = backend.calls[0]
-        assert request.system_text == ""
-        assert "what is an LLM" in request.user_text
-        assert "LLM definition" in request.user_text
-
-    def test_custom_attempt_budget(self):
-        backend = ScriptedBackend(["x", "y"])
-        cfg = PolicyConfig(max_attempts=2)
-        with pytest.raises(AlignmentError, match="2 attempts"):
-            intent_alignment("a", "b", backend, cfg)
-
-    def test_prompt_asset_has_placeholders(self):
-        text = load_alignment_prompt()
-        assert "{query_original}" in text
-        assert "{query}" in text
-
-
-class TestAggregateAlignment:
-    def test_two_views_of_same_scores(self):
-        got = aggregate_alignment({"a": [1.0, 0.0], "b": [1.0]})
-        assert got["per_step_mean"] == pytest.approx(2 / 3)
-        assert got["per_step_count"] == 3
-        assert got["per_query_mean"] == pytest.approx(0.75)
-        assert got["per_query_count"] == 2
-
-    def test_empty_input(self):
-        got = aggregate_alignment({})
-        assert got == {
-            "per_step_mean": None,
-            "per_step_count": 0,
-            "per_query_mean": None,
-            "per_query_count": 0,
-        }
-
-    def test_queries_without_rewrites_skipped(self):
-        got = aggregate_alignment({"a": [], "b": [0.5]})
-        assert got["per_query_count"] == 1
-        assert got["per_query_mean"] == pytest.approx(0.5)
 
 
 def run_record(query_id: str, ranking: list[str], steps: int = 2, tokens: int = 40) -> dict:
@@ -366,8 +292,16 @@ class TestLoadRunRecords:
             ([{**run_record("q1", ["d"]), "output_tokens": "many"}], 1),
             ([run_record("q2", ["d"]), run_record("q1", ["d", "d", "d"])], 2),
             ([run_record("q1", [1, 2])], 1),
+            ([run_record("q1", ["d"]), run_record("q2", ["d"], steps=-2, tokens=-5)], 2),
         ],
-        ids=["ranking-not-a-list", "repeated-query-id", "non-integer-tokens", "repeated-doc-id", "non-string-doc-id"],
+        ids=[
+            "ranking-not-a-list",
+            "repeated-query-id",
+            "non-integer-tokens",
+            "repeated-doc-id",
+            "non-string-doc-id",
+            "negative-counts",
+        ],
     )
     def test_malformed_record_fails_eval_naming_line(self, tmp_path, capsys, records, lineno):
         run = tmp_path / "run.jsonl"
