@@ -39,7 +39,7 @@ from .retrieval import (
     load_index,
     save_index,
 )
-from .records import iter_jsonl, iter_traces, open_input
+from .records import iter_jsonl, iter_traces, open_input, query_id_key
 
 DEFAULT_API_KEY_ENV = "SMR_API_KEY"
 
@@ -81,10 +81,8 @@ def load_queries(path: str) -> list[tuple[str, str]]:
         queries: list[tuple[str, str]] = []
         seen: set[str] = set()
         for lineno, record in iter_jsonl(fh, path, ConfigError, frozenset({"query_id", "text"})):
-            query_id, text = record["query_id"], record["text"]
-            if type(query_id) is not str and type(query_id) is not int:
-                raise ConfigError(f"{path}: line {lineno}: query_id must be a string or an integer")
-            query_id = str(query_id)
+            query_id = query_id_key(record["query_id"], path, lineno, ConfigError)
+            text = record["text"]
             if not isinstance(text, str) or not text.strip():
                 raise ConfigError(f"{path}: line {lineno}: text must be a non-empty string")
             if query_id in seen:
@@ -241,7 +239,7 @@ def cmd_index(args: argparse.Namespace) -> int:
     index = build_index(corpus)
     Path(args.out).parent.mkdir(parents=True, exist_ok=True)
     save_index(index, args.out)
-    print(f"indexed {index.doc_count} documents (avg length {index.avg_doc_length:.2f} tokens) -> {args.out}")
+    print(f"indexed {index.doc_count} documents -> {args.out}")
     return 0
 
 

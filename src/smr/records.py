@@ -58,6 +58,14 @@ def iter_jsonl(lines: Iterable[str], name: str, error: type[SmrError],
         yield lineno, record
 
 
+def query_id_key(value: object, name: str, lineno: int, error: type[SmrError]) -> str:
+    """A record's query_id as its key: a JSON string or integer, else ``error``
+    naming the file and line.  Integers key as their decimal text."""
+    if type(value) is not str and type(value) is not int:
+        raise error(f"{name}: line {lineno}: query_id must be a string or an integer")
+    return str(value)
+
+
 def _is_count(value: object) -> bool:
     """A JSON integer >= 0; bools, floats and strings are not counts."""
     return type(value) is int and value >= 0
@@ -89,14 +97,15 @@ def emit_run_record(result: TrajectoryResult, sink: TextIO) -> None:
 def read_run(lines: Iterable[str], name: str) -> list[dict]:
     """Run records as written; error entries pass through unchanged.
 
-    Raises CorpusError naming the line for a repeated query_id, a record with
-    neither an error nor a ranked_doc_ids list, a ranked_doc_ids entry that
-    is not a string or repeats, or counts that are not non-negative integers.
+    Raises CorpusError naming the line for a query_id that is not a string
+    or an integer or that repeats, a record with neither an error nor a
+    ranked_doc_ids list, a ranked_doc_ids entry that is not a string or
+    repeats, or counts that are not non-negative integers.
     """
     records: list[dict] = []
     seen: set[str] = set()
     for lineno, record in iter_jsonl(lines, name, CorpusError, _QUERY_ID):
-        query_id = str(record["query_id"])
+        query_id = query_id_key(record["query_id"], name, lineno, CorpusError)
         if query_id in seen:
             raise CorpusError(f"{name}: line {lineno}: repeated query_id {query_id!r}")
         seen.add(query_id)
@@ -161,15 +170,15 @@ class QueryTrace:
 def iter_traces(lines: Iterable[str], name: str) -> Iterator[QueryTrace]:
     """Each query's records, yielded once its summary or error line ends it.
 
-    Raises TraceFormatError naming the line for a record of no known shape,
-    a bad action or step, summary counts that are not non-negative integers,
-    a step count the transitions disagree with, or a record for a query that
-    already ended.
+    Raises TraceFormatError naming the line for a query_id that is not a
+    string or an integer, a record of no known shape, a bad action or step,
+    token or step counts that are not non-negative integers, summary counts
+    the transitions disagree with, or a record for a query that already ended.
     """
     pending: dict[str, QueryTrace] = {}
     ended: set[str] = set()
     for lineno, record in iter_jsonl(lines, name, TraceFormatError, _QUERY_ID):
-        query_id = str(record["query_id"])
+        query_id = query_id_key(record["query_id"], name, lineno, TraceFormatError)
         if query_id in ended:
             raise TraceFormatError(f"{name}: line {lineno}: query {query_id!r} already ended")
         trace = pending.get(query_id)
@@ -183,6 +192,8 @@ def iter_traces(lines: Iterable[str], name: str) -> Iterator[QueryTrace]:
                 raise TraceFormatError(f"{name}: line {lineno}: unknown action {action!r}")
             if type(record.get("step")) is not int:
                 raise TraceFormatError(f"{name}: line {lineno}: transition needs an integer step")
+            if not _is_count(record.get("output_tokens")):
+                raise TraceFormatError(f"{name}: line {lineno}: transition needs non-negative integer output_tokens")
             trace.transitions.append(record)
             trace.advancing += action != "stop"
             continue
@@ -196,6 +207,12 @@ def iter_traces(lines: Iterable[str], name: str) -> Iterator[QueryTrace]:
                 raise TraceFormatError(
                     f"{name}: line {lineno}: query {query_id!r} summary says {steps} steps, "
                     f"trace shows {trace.advancing}"
+                )
+            tokens = sum(tr["output_tokens"] for tr in trace.transitions)
+            if record["output_tokens"] != tokens:
+                raise TraceFormatError(
+                    f"{name}: line {lineno}: query {query_id!r} summary says {record['output_tokens']} "
+                    f"output_tokens, trace shows {tokens}"
                 )
             trace.summary = record
         else:

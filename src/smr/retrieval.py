@@ -1,15 +1,16 @@
 """Sparse and dense retrieval over an in-memory corpus.
 
-Sparse search is Okapi BM25 with every (term, document) weight computed once
-at build and kept in flat CSR arrays; dense search is cosine similarity over
-one matrix of externally supplied embeddings.  Both return ranked lists with
-deterministic tie-breaking (ascending doc_id) so repeat runs produce
-identical output.
+Sparse search is Okapi BM25 with every (term, document) weight computed
+once, when an index's postings are built, and kept in flat CSR arrays; dense
+search is cosine similarity over one matrix of externally supplied
+embeddings.  Both return ranked lists with deterministic tie-breaking
+(ascending doc_id) so repeat runs produce identical output.
 """
 
 from __future__ import annotations
 
 import array
+import functools
 import itertools
 import json
 import math
@@ -69,16 +70,14 @@ def _top_k(
 
 
 @dataclass(frozen=True, eq=False)
-class CorpusIndex:
-    """BM25 index over a fixed corpus, as flat arrays.
+class Postings:
+    """BM25 search arrays over a fixed corpus.
 
     Documents are numbered by their position in the corpus: ids[p] is the
     doc_id at position p and rank[p] is its place in sorted(ids).  The term
     numbered r by vocabulary owns the CSR row indptr[r]:indptr[r + 1] of
     doc_pos (the positions of the documents holding it, ascending) and
-    weights (each one's BM25 weight).  doc_store keeps the original
-    documents for prompt rendering.  Only build_index makes one, so every
-    field agrees with doc_store.
+    weights (each one's BM25 weight).
     """
 
     vocabulary: dict[str, int]
@@ -88,30 +87,19 @@ class CorpusIndex:
     ids: tuple[str, ...]
     rank: np.ndarray
     avg_doc_length: float
-    doc_store: dict[str, Document]
-
-    @property
-    def doc_count(self) -> int:
-        return len(self.ids)
 
 
-def build_index(corpus: Iterable[Document]) -> CorpusIndex:
-    doc_store: dict[str, Document] = {}
+def _build_postings(doc_store: Mapping[str, Document]) -> Postings:
+    n = len(doc_store)
     lengths: list[int] = []
     # Terms are numbered in order of first occurrence; rows holds every
     # token's term number, document after document.
     vocabulary: defaultdict[str, int] = defaultdict(itertools.count().__next__)
     rows = array.array("q")
-    for doc in corpus:
-        if doc.doc_id in doc_store:
-            raise CorpusError(f"duplicate doc_id in corpus: {doc.doc_id!r}")
-        doc_store[doc.doc_id] = doc
+    for doc in doc_store.values():
         tokens = tokenize(doc.text)
         lengths.append(len(tokens))
         rows.extend(map(vocabulary.__getitem__, tokens))
-    if not doc_store:
-        raise CorpusError("corpus is empty")
-    n = len(doc_store)
     avg = sum(lengths) / n
     # One key per token, row * n + position: the distinct keys, ascending,
     # are the (term, document) pairs in CSR order, and their counts the tfs.
@@ -132,7 +120,7 @@ def build_index(corpus: Iterable[Document]) -> CorpusIndex:
     indptr = np.zeros(len(vocabulary) + 1, dtype=np.intp)
     np.cumsum(df, out=indptr[1:])
     ids = tuple(doc_store)
-    return CorpusIndex(
+    return Postings(
         vocabulary=dict(vocabulary),
         indptr=indptr,
         doc_pos=doc_pos,
@@ -140,11 +128,40 @@ def build_index(corpus: Iterable[Document]) -> CorpusIndex:
         ids=ids,
         rank=_sorted_rank(ids),
         avg_doc_length=avg,
-        doc_store=doc_store,
     )
 
 
-def _scores(index: CorpusIndex, terms: Iterable[str]) -> np.ndarray:
+@dataclass(frozen=True, eq=False)
+class CorpusIndex:
+    """A fixed corpus for BM25 search: doc_store holds its documents in
+    corpus order, and postings is built from them on first use.  Only
+    build_index makes one, so doc_store is never empty."""
+
+    doc_store: dict[str, Document]
+
+    @property
+    def doc_count(self) -> int:
+        return len(self.doc_store)
+
+    @functools.cached_property
+    def postings(self) -> Postings:
+        return _build_postings(self.doc_store)
+
+
+def build_index(corpus: Iterable[Document]) -> CorpusIndex:
+    """Check the corpus (distinct doc_ids, at least one document); the
+    postings are left to CorpusIndex.postings."""
+    doc_store: dict[str, Document] = {}
+    for doc in corpus:
+        if doc.doc_id in doc_store:
+            raise CorpusError(f"duplicate doc_id in corpus: {doc.doc_id!r}")
+        doc_store[doc.doc_id] = doc
+    if not doc_store:
+        raise CorpusError("corpus is empty")
+    return CorpusIndex(doc_store=doc_store)
+
+
+def _scores(postings: Postings, terms: Iterable[str]) -> np.ndarray:
     """BM25 score of every document position (0.0 where no term matches).
 
     The query terms' CSR rows are concatenated in query-term order, repeats
@@ -152,15 +169,15 @@ def _scores(index: CorpusIndex, terms: Iterable[str]) -> np.ndarray:
     float 0.0 + w1 + w2 + ... however it is asked for.
     """
     spans = [
-        (index.indptr[row], index.indptr[row + 1])
-        for row in (index.vocabulary.get(term) for term in terms)
+        (postings.indptr[row], postings.indptr[row + 1])
+        for row in (postings.vocabulary.get(term) for term in terms)
         if row is not None
     ]
     if not spans:
-        return np.zeros(index.doc_count)
-    doc_pos = np.concatenate([index.doc_pos[a:b] for a, b in spans])
-    weights = np.concatenate([index.weights[a:b] for a, b in spans])
-    return np.bincount(doc_pos, weights, minlength=index.doc_count)
+        return np.zeros(len(postings.ids))
+    doc_pos = np.concatenate([postings.doc_pos[a:b] for a, b in spans])
+    weights = np.concatenate([postings.weights[a:b] for a, b in spans])
+    return np.bincount(doc_pos, weights, minlength=len(postings.ids))
 
 
 def bm25_score(index: CorpusIndex, query_terms: list[str], doc_id: str) -> float:
@@ -171,7 +188,8 @@ def bm25_score(index: CorpusIndex, query_terms: list[str], doc_id: str) -> float
     """
     if doc_id not in index.doc_store:
         raise UnknownDocumentError(f"doc_id not in index: {doc_id!r}")
-    return float(_scores(index, query_terms)[index.ids.index(doc_id)])
+    postings = index.postings
+    return float(_scores(postings, query_terms)[postings.ids.index(doc_id)])
 
 
 def search(index: CorpusIndex, query: str, k: int) -> RankedList:
@@ -183,9 +201,10 @@ def search(index: CorpusIndex, query: str, k: int) -> RankedList:
     """
     if k < 1:
         raise ValueError("k must be >= 1")
-    scores = _scores(index, tokenize(query))
+    postings = index.postings
+    scores = _scores(postings, tokenize(query))
     hits = np.flatnonzero(scores > 0.0)
-    return RankedList(entries=_top_k(index.ids, index.rank, hits, scores[hits], k))
+    return RankedList(entries=_top_k(postings.ids, postings.rank, hits, scores[hits], k))
 
 
 @dataclass(frozen=True, eq=False)
@@ -309,6 +328,9 @@ class Retriever(Protocol):
 
 class Bm25Retriever:
     def __init__(self, index: CorpusIndex):
+        # Build the postings now: run_batch's threads must not race a first
+        # build, and cached_property takes no lock from Python 3.12 on.
+        index.postings
         self.index = index
         self.doc_store: Mapping[str, Document] = index.doc_store
 
@@ -338,7 +360,7 @@ class DenseRetriever:
 
 # ---------------------------------------------------------------------------
 # File formats: JSON lines for corpora and embeddings; a saved index is JSON
-# holding its documents, and its postings are built again at load.
+# holding its documents, and its postings are built when it is loaded.
 
 
 def _document(record: object, path: str, place: str, number: int) -> Document:
@@ -408,7 +430,8 @@ def save_index(index: CorpusIndex, path: str) -> None:
 
 
 def load_index(path: str) -> CorpusIndex:
-    """Index the documents an index file holds; postings in older files are ignored."""
+    """Index the documents an index file holds, with its postings built; the
+    postings entry of older files is ignored."""
     try:
         with open_input(path, "index", CorpusError) as fh:
             payload = json.load(fh)
@@ -421,6 +444,10 @@ def load_index(path: str) -> CorpusIndex:
         raise CorpusError(f"{path}: index file needs a docs list")
     docs = _documents(enumerate(entries, start=1), path, "docs entry")
     try:
-        return build_index(docs)
+        index = build_index(docs)
     except CorpusError as exc:
         raise CorpusError(f"{path}: {exc}") from None
+    # Build the postings here, in smr run's set-up, so their cost is paid and
+    # timed as loading, not hidden in the first query.
+    index.postings
+    return index

@@ -6,6 +6,7 @@ from pathlib import Path
 
 import pytest
 
+import smr.retrieval
 from smr.cli import load_queries, main
 from smr.errors import ConfigError
 from smr.policy import load_policy_prompt
@@ -68,6 +69,15 @@ class TestIndexCommand:
         stdout = capsys.readouterr().out
         assert "indexed 6 documents" in stdout
         assert str(out) in stdout
+
+    def test_never_builds_postings(self, tmp_path, monkeypatch):
+        def refuse(_doc_store):
+            raise AssertionError("smr index built the postings")
+
+        monkeypatch.setattr(smr.retrieval, "_build_postings", refuse)
+        out = tmp_path / "index.json"
+        assert main(["index", "--corpus", str(DATA_DIR / "corpus.jsonl"), "--out", str(out)]) == 0
+        assert json.loads(out.read_text(encoding="utf-8"))["format"] == "smr-index-v1"
 
     def test_malformed_corpus_names_line(self, tmp_path, capsys):
         bad = tmp_path / "corpus.jsonl"
@@ -502,7 +512,7 @@ class TestInspectCommand:
     @pytest.mark.parametrize(
         "records, lineno",
         [
-            ([{"query_id": "q1", "steps": 0, "output_tokens": 1, "stop_cause": "policy-stop"}, "not json"], 2),
+            ([{"query_id": "q1", "steps": 0, "output_tokens": 0, "stop_cause": "policy-stop"}, "not json"], 2),
             ([{"query_id": "q1", "action": "stop"}], 1),
             ([{"query_id": "q1", "output_tokens": 1, "stop_cause": "policy-stop"}], 1),
         ],

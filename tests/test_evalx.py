@@ -160,8 +160,8 @@ class TestQrels:
         assert load_qrels(str(path)).for_query("q1") == {"d1": 2, "d3": 1}
 
 
-def transition_line(query_id: str, step: int, action: str) -> str:
-    return json.dumps({"query_id": query_id, "step": step, "action": action})
+def transition_line(query_id: str, step: int, action: str, tokens: int = 0) -> str:
+    return json.dumps({"query_id": query_id, "step": step, "action": action, "output_tokens": tokens})
 
 
 def summary_line(query_id: str, steps: int, tokens: int, cause: str = "policy-stop") -> str:
@@ -171,7 +171,11 @@ def summary_line(query_id: str, steps: int, tokens: int, cause: str = "policy-st
 
 
 def trace_for(query_id: str, actions: list[str], tokens: int) -> list[str]:
-    lines = [transition_line(query_id, i, a) for i, a in enumerate(actions, start=1)]
+    """A query's trace; its last transition carries all the summary's tokens."""
+    lines = [
+        transition_line(query_id, i, a, tokens if i == len(actions) else 0)
+        for i, a in enumerate(actions, start=1)
+    ]
     advancing = sum(1 for a in actions if a != "stop")
     lines.append(summary_line(query_id, advancing, tokens))
     return lines
@@ -206,7 +210,7 @@ class TestAnalyzeTraces:
 
     def test_invalid_json_names_line(self):
         with pytest.raises(TraceFormatError, match=r"line 2"):
-            analyze_traces([summary_line("a", 0, 1), "{oops"])
+            analyze_traces([summary_line("a", 0, 0), "{oops"])
 
     def test_record_without_query_id_rejected(self):
         with pytest.raises(TraceFormatError, match="query_id"):
@@ -234,7 +238,7 @@ class TestAnalyzeTraces:
         assert analytics == TraceAnalytics({}, [], {})
 
     def test_blank_lines_ignored(self):
-        lines = ["", summary_line("a", 0, 3), "  "]
+        lines = ["", *trace_for("a", ["stop"], 3), "  "]
         assert analyze_traces(lines).per_query["a"]["output_tokens"] == 3
 
     @pytest.mark.parametrize(
@@ -245,9 +249,31 @@ class TestAnalyzeTraces:
                 "line 1: transition needs an integer step",
             ),
             (trace_for("a", ["stop"], 1) + trace_for("a", ["stop"], 1), "line 3: query 'a' already ended"),
-            (trace_for("a", ["stop"], -7), "line 2: summary needs non-negative integer steps and output_tokens"),
+            (
+                [transition_line("a", 1, "stop"), summary_line("a", 0, -7)],
+                "line 2: summary needs non-negative integer steps and output_tokens",
+            ),
+            (
+                [json.dumps({"query_id": True, "steps": 0, "output_tokens": 0, "stop_cause": "policy-stop"})],
+                "line 1: query_id must be a string or an integer",
+            ),
+            (
+                [transition_line("a", 1, "refine", -50), summary_line("a", 1, 3)],
+                "line 1: transition needs non-negative integer output_tokens",
+            ),
+            (
+                [transition_line("a", 1, "refine"), summary_line("a", 1, 3)],
+                "line 2: query 'a' summary says 3 output_tokens, trace shows 0",
+            ),
         ],
-        ids=["transition-without-step", "query-repeated-after-summary", "negative-output-tokens"],
+        ids=[
+            "transition-without-step",
+            "query-repeated-after-summary",
+            "negative-output-tokens",
+            "boolean-query-id",
+            "negative-transition-tokens",
+            "summary-tokens-disagree",
+        ],
     )
     def test_malformed_trace_names_file_and_line(self, lines, message):
         with pytest.raises(TraceFormatError, match=r"^trace\.jsonl: " + message):
@@ -293,6 +319,7 @@ class TestLoadRunRecords:
             ([run_record("q2", ["d"]), run_record("q1", ["d", "d", "d"])], 2),
             ([run_record("q1", [1, 2])], 1),
             ([run_record("q1", ["d"]), run_record("q2", ["d"], steps=-2, tokens=-5)], 2),
+            ([run_record("q1", ["d"]), {**run_record("q2", ["d"]), "query_id": [1]}], 2),
         ],
         ids=[
             "ranking-not-a-list",
@@ -301,6 +328,7 @@ class TestLoadRunRecords:
             "repeated-doc-id",
             "non-string-doc-id",
             "negative-counts",
+            "list-query-id",
         ],
     )
     def test_malformed_record_fails_eval_naming_line(self, tmp_path, capsys, records, lineno):

@@ -46,8 +46,9 @@ def docs_from(texts: dict[str, str]) -> list[Document]:
 def assert_csr_matches_reference(index, texts: dict[str, str]) -> None:
     """The index's arrays equal reference_csr's bit for bit, dtypes and vocabulary order included."""
     vocabulary, indptr, doc_pos, weights = reference_csr({k: oracle_tokenize(v) for k, v in texts.items()})
-    assert list(index.vocabulary.items()) == list(vocabulary.items())
-    for got, want in ((index.indptr, indptr), (index.doc_pos, doc_pos), (index.weights, weights)):
+    postings = index.postings
+    assert list(postings.vocabulary.items()) == list(vocabulary.items())
+    for got, want in ((postings.indptr, indptr), (postings.doc_pos, doc_pos), (postings.weights, weights)):
         assert got.dtype == want.dtype
         assert got.tobytes() == want.tobytes()
 
@@ -107,7 +108,7 @@ class TestBuildIndex:
     def test_statistics(self):
         index = build_index(docs_from({"a": "x y", "b": "x y z w", "c": "p q r s t u"}))
         assert index.doc_count == 3
-        assert index.avg_doc_length == pytest.approx(4.0)
+        assert index.postings.avg_doc_length == pytest.approx(4.0)
         assert_csr_matches_reference(index, {"a": "x y", "b": "x y z w", "c": "p q r s t u"})
 
     def test_duplicate_doc_id_named_in_error(self):
@@ -120,14 +121,15 @@ class TestBuildIndex:
 
     def test_zero_token_document_allowed(self):
         index = build_index(docs_from({"a": "...", "b": "word"}))
-        assert index.avg_doc_length == 0.5
-        assert index.doc_pos.tolist() == [1]
+        assert index.postings.avg_doc_length == 0.5
+        assert index.postings.doc_pos.tolist() == [1]
         assert_csr_matches_reference(index, {"a": "...", "b": "word"})
 
     def test_postings_carry_term_frequencies(self):
         index = build_index(docs_from({"a": "x x y", "b": "x"}))
-        row = index.vocabulary["x"]
-        assert index.doc_pos[index.indptr[row]:index.indptr[row + 1]].tolist() == [0, 1]
+        postings = index.postings
+        row = postings.vocabulary["x"]
+        assert postings.doc_pos[postings.indptr[row]:postings.indptr[row + 1]].tolist() == [0, 1]
         # reference_csr derives the weights from the tfs 2 and 1.
         assert_csr_matches_reference(index, {"a": "x x y", "b": "x"})
 
@@ -256,7 +258,7 @@ def test_order_preserved_when_added_doc_keeps_average_length(data):
     """
     texts, term = data
     index_before = build_index(docs_from(texts))
-    avg = index_before.avg_doc_length
+    avg = index_before.postings.avg_doc_length
     if avg != int(avg) or int(avg) == 0:
         return  # only integral averages can be preserved exactly by one doc
     before = search(index_before, term, 50)
@@ -560,8 +562,14 @@ class TestLoaders:
         loaded = load_index(str(path))
         assert_csr_matches_reference(loaded, texts)
         assert_csr_matches_reference(index, texts)
-        assert loaded.avg_doc_length == pytest.approx(index.avg_doc_length)
+        assert loaded.postings.avg_doc_length == pytest.approx(index.postings.avg_doc_length)
         assert list(search(loaded, "banana", 10).entries) == list(search(index, "banana", 10).entries)
+
+    def test_postings_built_at_load_only(self, tmp_path):
+        index = build_index(docs_from({"d1": "apple", "d2": "banana"}))
+        save_index(index, str(tmp_path / "index.json"))
+        assert "postings" not in vars(index)
+        assert "postings" in vars(load_index(str(tmp_path / "index.json")))
 
     @pytest.mark.parametrize(
         "loader, kind",
@@ -633,6 +641,11 @@ class TestRetrieverAdapters:
         retriever = Bm25Retriever(index)
         assert list(retriever.search("apple", 5).entries) == ["d1"]
         assert retriever.doc_store["d2"].text == "banana"
+
+    def test_bm25_adapter_builds_postings(self):
+        index = build_index(docs_from({"d1": "apple", "d2": "banana"}))
+        Bm25Retriever(index)
+        assert "postings" in vars(index)
 
     def test_dense_adapter_embeds_queries(self):
         store = build_dense_store([("d1", [1.0, 0.0]), ("d2", [0.0, 1.0])])
