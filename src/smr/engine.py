@@ -11,7 +11,7 @@ shapes themselves live in records.py.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
+import threading
 from dataclasses import dataclass, field
 from typing import Callable, Sequence, TextIO
 
@@ -116,30 +116,75 @@ def run_batch(
     backend_factory: Callable[[str], ChatBackend],
     config: EngineConfig | None = None,
 ) -> list[TrajectoryResult]:
-    """Run (query_id, text) pairs concurrently, preserving input order.
+    """Run (query_id, text) pairs on batch_size workers, preserving input order.
 
-    At most batch_size trajectories are in flight at once.  A failure in
-    one trajectory is captured in its result entry and the rest proceed.
-    Backends are created one per query, in query order, in the calling
-    thread as the queries are submitted, so factories may consume ordered
-    resources.  Each backend is released when its query ends.
+    The calling thread is one of the workers, so batch_size 1 is a plain
+    loop and batch_size N starts N - 1 threads.  Each worker pulls the next
+    query and creates its backend under one lock, so backends are created
+    one per query, in query order, just before that query starts; each is
+    released when its query ends.  A failure in one trajectory is captured
+    in its result entry and the rest proceed.  Any other exception (a
+    factory error, KeyboardInterrupt) stops further pulls; the running
+    queries finish, every thread is joined, and the first such exception
+    is re-raised.
     """
     cfg = config or EngineConfig()
+    results: list[TrajectoryResult | None] = [None] * len(queries)
+    # A generator that raises is finished, so a factory error ends all pulls.
+    pending = (
+        (index, query_id, text, backend_factory(query_id))
+        for index, (query_id, text) in enumerate(queries)
+    )
+    lock = threading.Lock()
+    failures: list[BaseException] = []
 
-    def one(query: tuple[str, str], backend: ChatBackend) -> TrajectoryResult:
-        query_id, text = query
+    def run_next() -> bool:
+        # One pull and its query; returning drops the backend before the next pull.
+        with lock:
+            item = None if failures else next(pending, None)
+        if item is None:
+            return False
+        index, query_id, text, backend = item
         try:
             trajectory = run_trajectory(text, retriever, backend, cfg)
         except Exception as exc:
-            return TrajectoryResult(query_id=query_id, query=text, error=f"{type(exc).__name__}: {exc}")
-        return TrajectoryResult(query_id=query_id, query=text, trajectory=trajectory)
+            error = f"{type(exc).__name__}: {exc}"
+            results[index] = TrajectoryResult(query_id=query_id, query=text, error=error)
+        else:
+            results[index] = TrajectoryResult(query_id=query_id, query=text, trajectory=trajectory)
+        return True
 
-    if not queries:
-        return []
-    with ThreadPoolExecutor(max_workers=cfg.batch_size) as pool:
-        # A generator, so that only each query's work item holds its backend.
-        backends = (backend_factory(query_id) for query_id, _text in queries)
-        return list(pool.map(one, queries, backends))
+    def stop(exc: BaseException) -> None:
+        with lock:
+            failures.append(exc)
+
+    def work(done: threading.Event) -> None:
+        try:
+            while run_next():
+                pass
+        except BaseException as exc:
+            stop(exc)
+        finally:
+            done.set()
+
+    # Python 3.11 marks a thread stopped when an interrupt breaks its join(),
+    # so the caller waits on events it can wait on again, then joins.
+    dones = [threading.Event() for _ in range(min(cfg.batch_size, len(queries)) - 1)]
+    threads = [threading.Thread(target=work, args=(done,)) for done in dones]
+    for thread in threads:
+        thread.start()
+    work(threading.Event())
+    for done in dones:
+        while not done.is_set():
+            try:
+                done.wait()
+            except BaseException as exc:  # an interrupt while waiting: stop pulls, keep waiting
+                stop(exc)
+    for thread in threads:
+        thread.join()
+    if failures:
+        raise failures[0]
+    return results  # every slot is filled when no pull was stopped
 
 
 def write_trace_file(results: Sequence[TrajectoryResult], sink: TextIO) -> None:

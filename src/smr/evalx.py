@@ -98,7 +98,12 @@ def parse_qrels(lines: Iterable[str], name: str = "qrels") -> Qrels:
             raise CorpusError(f"{name}: line {lineno}: grade must be an integer, got {grade_text!r}")
         if grade < 0:
             raise CorpusError(f"{name}: line {lineno}: grade must be >= 0, got {grade}")
-        by_query.setdefault(query_id, {})[doc_id] = grade
+        grades = by_query.setdefault(query_id, {})
+        if doc_id in grades:
+            raise CorpusError(
+                f"{name}: line {lineno}: repeated judgment for query {query_id!r}, doc {doc_id!r}"
+            )
+        grades[doc_id] = grade
     return Qrels(by_query=by_query)
 
 

@@ -116,17 +116,19 @@ def render_policy_prompt(
     return system_text, f'{{\n"query": {query},\n"retrieved": {retrieved}\n}}'
 
 
+_DECODER = json.JSONDecoder()
+
+
 def _first_json_object(raw: str) -> dict:
     """Extract the first balanced JSON object from free-form model output.
 
     Tolerates code fences and surrounding prose by scanning for '{' and
     attempting a decode at each candidate position.
     """
-    decoder = json.JSONDecoder()
     idx = raw.find("{")
     while idx != -1:
         try:
-            value, _end = decoder.raw_decode(raw, idx)
+            value, _end = _DECODER.raw_decode(raw, idx)
         except ValueError:
             idx = raw.find("{", idx + 1)
             continue

@@ -3,6 +3,8 @@ from __future__ import annotations
 import gc
 import io
 import json
+import signal
+import sys
 import threading
 import time
 import weakref
@@ -19,6 +21,7 @@ from smr.engine import (
     write_run_file,
     write_trace_file,
 )
+from smr.errors import ConfigError
 from smr.llm import ChatRequest, ChatResponse, ScriptedBackend, count_fallback_tokens
 from smr.policy import PolicyConfig
 
@@ -218,6 +221,140 @@ class TestRunBatch:
         results = run_batch(queries, toy_retriever, factory, EngineConfig(batch_size=1))
         assert all(r.trajectory is not None for r in results)
         assert alive_earlier == {qid: [] for qid, _ in queries}
+
+    def test_batch_size_one_runs_in_calling_thread(self, toy_retriever):
+        threads_before = threading.active_count()
+        seen: dict[str, tuple[int, int]] = {}
+
+        class ThreadProbeBackend(ScriptedBackend):
+            def __init__(self, query_id: str):
+                super().__init__([stop_json()])
+                self.query_id = query_id
+
+            def complete(self, request: ChatRequest) -> ChatResponse:
+                seen[self.query_id] = (threading.get_ident(), threading.active_count())
+                return super().complete(request)
+
+        queries = [(f"q{i}", QUERY) for i in range(5)]
+        results = run_batch(queries, toy_retriever, ThreadProbeBackend, EngineConfig(batch_size=1))
+        assert all(r.trajectory is not None for r in results)
+        assert seen == {qid: (threading.get_ident(), threads_before) for qid, _ in queries}
+        assert threading.active_count() == threads_before
+
+    def test_batch_size_trajectories_run_at_once(self, toy_retriever):
+        batch_size = 4
+        barrier = threading.Barrier(batch_size, timeout=10)
+
+        class BarrierBackend:
+            def complete(self, request: ChatRequest) -> ChatResponse:
+                barrier.wait()  # breaks, and the query fails, unless batch_size queries overlap
+                return ChatResponse(text=stop_json(), output_tokens=1)
+
+        queries = [(f"q{i}", QUERY) for i in range(2 * batch_size)]
+        cfg = EngineConfig(batch_size=batch_size)
+        results = run_batch(queries, toy_retriever, lambda qid: BarrierBackend(), cfg)
+        assert [r.error for r in results] == [None] * len(queries)
+
+    def test_backend_created_just_before_its_query(self, toy_retriever):
+        created: list[str] = []
+        created_at_first_call: dict[str, int] = {}
+
+        class CountingBackend(ScriptedBackend):
+            def __init__(self, query_id: str):
+                super().__init__([stop_json()])
+                self.query_id = query_id
+                created.append(query_id)
+
+            def complete(self, request: ChatRequest) -> ChatResponse:
+                created_at_first_call.setdefault(self.query_id, len(created))
+                return super().complete(request)
+
+        queries = [(f"q{i}", QUERY) for i in range(6)]
+        run_batch(queries, toy_retriever, CountingBackend, EngineConfig(batch_size=1))
+        assert created_at_first_call == {f"q{i}": i + 1 for i in range(6)}
+
+    def test_workers_pull_each_query_once_under_frequent_switches(self, toy_retriever):
+        events: list[tuple[str, str]] = []
+
+        def factory(query_id):
+            events.append(("enter", query_id))
+            time.sleep(0)  # lets another worker run; it must not enter the factory meanwhile
+            events.append(("leave", query_id))
+            return ScriptedBackend([stop_json()])
+
+        queries = [(f"q{i}", f"{QUERY} {i}") for i in range(300)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            results = run_batch(queries, toy_retriever, factory, EngineConfig(batch_size=8))
+        finally:
+            sys.setswitchinterval(interval)
+        assert events == [(event, qid) for qid, _ in queries for event in ("enter", "leave")]
+        assert [(r.query_id, r.query, r.error) for r in results] == [(q, t, None) for q, t in queries]
+
+    def test_factory_error_stops_the_batch(self, toy_retriever):
+        calls: list[str] = []
+
+        def factory(query_id):
+            calls.append(query_id)
+            if query_id == "q2":
+                raise ConfigError("no script for q2")
+            return ScriptedBackend([stop_json()])
+
+        queries = [(f"q{i}", QUERY) for i in range(12)]
+        with pytest.raises(ConfigError, match="no script for q2"):
+            run_batch(queries, toy_retriever, factory, EngineConfig(batch_size=4))
+        assert calls == ["q0", "q1", "q2"]
+
+    def test_interrupt_lets_running_queries_end_and_starts_none(self, toy_retriever):
+        threads_before = threading.active_count()
+        events: list[str] = []
+        interrupted = threading.Event()
+
+        class InterruptingBackend:
+            def __init__(self, query_id: str):
+                self.query_id = query_id
+                events.append(f"start {query_id}")
+
+            def complete(self, request: ChatRequest) -> ChatResponse:
+                if self.query_id == "q1":
+                    interrupted.set()
+                    raise KeyboardInterrupt
+                if self.query_id == "q0":
+                    assert interrupted.wait(timeout=10)
+                    time.sleep(0.05)  # q1's worker records the interrupt meanwhile
+                events.append(f"end {self.query_id}")
+                return ChatResponse(text=stop_json(), output_tokens=1)
+
+        queries = [(f"q{i}", QUERY) for i in range(8)]
+        with pytest.raises(KeyboardInterrupt):
+            run_batch(queries, toy_retriever, InterruptingBackend, EngineConfig(batch_size=2))
+        assert events == ["start q0", "start q1", "end q0"]
+        assert threading.active_count() == threads_before
+
+    @pytest.mark.skipif(not hasattr(signal, "pthread_kill"), reason="needs signal.pthread_kill")
+    def test_interrupt_while_joining_waits_for_the_running_query(self, toy_retriever):
+        threads_before = threading.active_count()
+        worker_started = threading.Event()
+        ended: list[str] = []
+
+        class Backend:
+            def complete(self, request: ChatRequest) -> ChatResponse:
+                if threading.current_thread() is threading.main_thread():
+                    assert worker_started.wait(timeout=10)
+                else:
+                    worker_started.set()
+                    time.sleep(0.1)  # the caller ends its own query and waits in join
+                    signal.pthread_kill(threading.main_thread().ident, signal.SIGINT)
+                    time.sleep(0.1)
+                    ended.append("worker")
+                return ChatResponse(text=stop_json(), output_tokens=1)
+
+        queries = [("q0", QUERY), ("q1", QUERY)]
+        with pytest.raises(KeyboardInterrupt):
+            run_batch(queries, toy_retriever, lambda qid: Backend(), EngineConfig(batch_size=2))
+        assert ended == ["worker"]
+        assert threading.active_count() == threads_before
 
 
 def run_toy_batch(toy_retriever, scripts: dict[str, list[str]], queries=None):

@@ -148,6 +148,10 @@ class TestQrels:
         with pytest.raises(CorpusError, match=">= 0"):
             parse_qrels(["q1 0 d1 -1"])
 
+    def test_repeated_judgment_names_file_and_line(self):
+        with pytest.raises(CorpusError, match=r"^judged\.txt: line 3: repeated judgment .*'q1'.*'d1'"):
+            parse_qrels(["q1 0 d1 2", "q2 0 d1 1", "q1 0 d1 0"], name="judged.txt")
+
     def test_load_from_file_names_path(self, tmp_path):
         path = tmp_path / "judgments.txt"
         path.write_text("q1 0 d1 2\nq1 0\n", encoding="utf-8")
