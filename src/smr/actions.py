@@ -80,7 +80,7 @@ def exec_refine(
         raise ValueError("exec_refine requires a refine decision")
     retrieved = retriever.search(decision.refined_query, k)
     merged = merge_retrieved(state.docs, retrieved, max_list_size)
-    return ReasoningState(query=decision.refined_query, docs=merged, step=state.step + 1)
+    return ReasoningState(query=decision.refined_query, docs=merged)
 
 
 def exec_rerank(state: ReasoningState, decision: Decision) -> tuple[ReasoningState, SanitizeReport]:
@@ -88,5 +88,4 @@ def exec_rerank(state: ReasoningState, decision: Decision) -> tuple[ReasoningSta
     if decision.reranked_ids is None:
         raise ValueError("exec_rerank requires a rerank decision")
     ranked, report = sanitize_rerank(state.docs, decision.reranked_ids)
-    new_state = ReasoningState(query=state.query, docs=ranked, step=state.step + 1)
-    return new_state, report
+    return ReasoningState(query=state.query, docs=ranked), report

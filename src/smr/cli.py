@@ -407,6 +407,9 @@ def main(argv: Sequence[str] | None = None) -> int:
     except SmrError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    except KeyboardInterrupt:
+        print("interrupted", file=sys.stderr)
+        return 130
 
 
 if __name__ == "__main__":

@@ -64,23 +64,17 @@ class RankedList:
     def __len__(self) -> int:
         return len(self.entries)
 
-    def __contains__(self, doc_id: object) -> bool:
-        return doc_id in self.entries
-
 
 @dataclass(frozen=True)
 class ReasoningState:
-    """One point in the loop: current query, current document list, step count."""
+    """One point in the loop: the current query and its ranked document list."""
 
     query: str
     docs: RankedList
-    step: int
 
     def __post_init__(self) -> None:
         if not self.query:
             raise ValueError("state query must be non-empty")
-        if self.step < 0:
-            raise ValueError("step must be >= 0")
 
 
 def state_equivalent(a: ReasoningState, b: ReasoningState) -> bool:
@@ -88,7 +82,7 @@ def state_equivalent(a: ReasoningState, b: ReasoningState) -> bool:
 
     Queries compare byte-for-byte after trimming surrounding whitespace;
     document lists compare as ordered sequences (order matters, a reordering
-    is a real change).  The step counter is ignored.
+    is a real change).
     """
     return a.query.strip() == b.query.strip() and a.docs.entries == b.docs.entries
 
@@ -136,16 +130,16 @@ class Decision:
 
 @dataclass(frozen=True)
 class Transition:
-    """One recorded step: the decision taken plus both surrounding states.
+    """One recorded step: the decision taken and the state it led to.
 
-    Stop does not advance the state, so a stop transition repeats its
-    pre-state; every other transition advances the step counter by one.
-    output_tokens counts every token the policy generated while choosing,
-    including failed attempts that were retried.
+    The state before it is the trajectory's previous post_state, or its
+    initial state; a stop leaves that state as it was.  output_tokens counts
+    every token the policy generated while choosing, including failed
+    attempts that were retried; policy_temperature_used is the temperature
+    of its last attempt.
     """
 
     decision: Decision
-    pre_state: ReasoningState
     post_state: ReasoningState
     output_tokens: int
     policy_temperature_used: float
@@ -153,14 +147,6 @@ class Transition:
     def __post_init__(self) -> None:
         if self.output_tokens < 0:
             raise ValueError("output_tokens must be >= 0")
-        if self.decision.action is Action.STOP:
-            if self.post_state != self.pre_state:
-                raise ValueError("stop transitions must not change the state")
-        elif self.post_state.step != self.pre_state.step + 1:
-            raise ValueError(
-                f"non-stop transitions must advance step by 1 "
-                f"(pre={self.pre_state.step}, post={self.post_state.step})"
-            )
 
 
 @dataclass(frozen=True)
@@ -173,11 +159,14 @@ class Trajectory:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "transitions", tuple(self.transitions))
-        if self.initial.step != 0:
-            raise ValueError("trajectories start at step 0")
+        pre = self.initial
         for i, tr in enumerate(self.transitions):
-            if tr.decision.action is Action.STOP and i != len(self.transitions) - 1:
-                raise ValueError("a stop decision may only appear as the final transition")
+            if tr.decision.action is Action.STOP:
+                if i != len(self.transitions) - 1:
+                    raise ValueError("a stop decision may only appear as the final transition")
+                if tr.post_state != pre:
+                    raise ValueError("stop transitions must not change the state")
+            pre = tr.post_state
 
     @property
     def final_state(self) -> ReasoningState:

@@ -64,18 +64,19 @@ def run_trajectory(
     """
     cfg = config or EngineConfig()
     initial_docs = retriever.search(query, cfg.k)
-    state = ReasoningState(query=query, docs=initial_docs, step=0)
+    state = ReasoningState(query=query, docs=initial_docs)
     initial = state
     transitions: list[Transition] = []
     while True:
-        if state.step >= cfg.max_steps:
+        # Every transition recorded so far advanced the state, so this counts steps.
+        if len(transitions) >= cfg.max_steps:
             stop_cause = StopCause.STEP_CAP
             break
         outcome = decide(state, retriever.doc_store, backend, cfg.policy)
         decision = outcome.decision
         if decision.action is Action.STOP:
             transitions.append(
-                Transition(decision, state, state, outcome.output_tokens, outcome.temperature_used)
+                Transition(decision, state, outcome.output_tokens, outcome.temperature_used)
             )
             stop_cause = (
                 StopCause.POLICY_FAILURE_FALLBACK if outcome.fallback else StopCause.POLICY_STOP
@@ -86,7 +87,7 @@ def run_trajectory(
         else:
             post, _report = exec_rerank(state, decision)
         transitions.append(
-            Transition(decision, state, post, outcome.output_tokens, outcome.temperature_used)
+            Transition(decision, post, outcome.output_tokens, outcome.temperature_used)
         )
         if state_equivalent(post, state):
             state = post

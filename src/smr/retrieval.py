@@ -22,7 +22,7 @@ from typing import Callable, Iterable, Mapping, Protocol, Sequence
 import numpy as np
 
 from .core import Document, RankedList
-from .errors import CorpusError, UnknownDocumentError
+from .errors import CorpusError
 from .records import iter_jsonl, open_input
 
 BM25_K1 = 1.2
@@ -178,18 +178,6 @@ def _scores(postings: Postings, terms: Iterable[str]) -> np.ndarray:
     doc_pos = np.concatenate([postings.doc_pos[a:b] for a, b in spans])
     weights = np.concatenate([postings.weights[a:b] for a, b in spans])
     return np.bincount(doc_pos, weights, minlength=len(postings.ids))
-
-
-def bm25_score(index: CorpusIndex, query_terms: list[str], doc_id: str) -> float:
-    """BM25 score of one document for an already-tokenized query.
-
-    Terms absent from the document (or the whole corpus) contribute zero.
-    Repeated query terms contribute once per occurrence.
-    """
-    if doc_id not in index.doc_store:
-        raise UnknownDocumentError(f"doc_id not in index: {doc_id!r}")
-    postings = index.postings
-    return float(_scores(postings, query_terms)[postings.ids.index(doc_id)])
 
 
 def search(index: CorpusIndex, query: str, k: int) -> RankedList:

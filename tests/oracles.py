@@ -2,7 +2,9 @@
 
 Everything here is written from the defining formulas with plain loops and
 no imports from the package under test, so agreement is meaningful.  Keep
-these boring and obviously correct.
+these boring and obviously correct.  The one exception is bm25_score, a
+probe that reads the package's own scores for the oracles to be checked
+against.
 """
 
 from __future__ import annotations
@@ -271,3 +273,20 @@ def format_decision(decision) -> str:
     if decision.reason is not None:
         obj["reason"] = decision.reason
     return json.dumps(obj, ensure_ascii=False)
+
+
+def bm25_score(index, query_terms: list[str], doc_id: str) -> float:
+    """The package's BM25 score of one document for an already-tokenized query.
+
+    It reads one entry of smr.retrieval._scores, the scorer search ranks
+    with, so comparing it to the oracles above checks the package's own
+    arithmetic.  Terms absent from the document (or the whole corpus)
+    contribute zero; repeated query terms contribute once per occurrence.
+    """
+    from smr.errors import UnknownDocumentError
+    from smr.retrieval import _scores
+
+    if doc_id not in index.doc_store:
+        raise UnknownDocumentError(f"doc_id not in index: {doc_id!r}")
+    postings = index.postings
+    return float(_scores(postings, query_terms)[postings.ids.index(doc_id)])

@@ -23,10 +23,11 @@ from smr.engine import EngineConfig, run_batch, run_trajectory, write_trace_file
 from smr.evalx import analyze_traces, load_qrels, map_at_k, ndcg_at_k, recall_at_k
 from smr.llm import ScriptedBackend, count_fallback_tokens
 from smr.policy import PolicyConfig, decide
-from smr.retrieval import bm25_score, build_index, search
+from smr.retrieval import build_index, search
 
 from conftest import DATA_DIR, refine_json, rerank_json, stop_json
 from oracles import (
+    bm25_score,
     oracle_bm25_ranking,
     oracle_map,
     oracle_merge,
@@ -165,9 +166,7 @@ def test_criterion_04_equivalence_stop(toy_retriever):
 
 
 def test_criterion_05_temperature_escalation(toy_retriever):
-    state = ReasoningState(
-        query="what is an LLM", docs=toy_retriever.search("what is an LLM", 10), step=0
-    )
+    state = ReasoningState(query="what is an LLM", docs=toy_retriever.search("what is an LLM", 10))
     schedule = [0.0, 0.1, 0.2, 0.3, 0.4, 0.5]
     for malformed in range(6):
         steps = [f"malformed reply number {i}" for i in range(malformed)]

@@ -15,7 +15,7 @@ def ranked(ids: list[str]) -> RankedList:
 
 
 def make_state(query: str, ids: list[str]) -> ReasoningState:
-    return ReasoningState(query=query, docs=ranked(ids), step=0)
+    return ReasoningState(query=query, docs=ranked(ids))
 
 
 class TestMergeRetrieved:
@@ -120,7 +120,6 @@ class TestExecRefine:
         decision = Decision.refine("LLM large language model definition")
         post = exec_refine(state, decision, toy_retriever, k=10, max_list_size=100)
         assert post.query == "LLM large language model definition"
-        assert post.step == 1
         assert post.docs.entries[0] == "d1"  # existing head survives
         assert set(post.docs.entries) >= {"d1", "d3", "d4"}
 
@@ -142,7 +141,6 @@ class TestExecRerank:
         post, report = exec_rerank(state, Decision.rerank(["d3", "d1"]))
         assert post.query == "the query"
         assert post.docs.entries == ("d3", "d1", "d2")
-        assert post.step == 1
         assert report.reappended_ids == ("d2",)
 
     def test_identity_rerank_produces_equal_docs(self):

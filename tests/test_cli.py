@@ -6,6 +6,7 @@ from pathlib import Path
 
 import pytest
 
+import smr.cli
 import smr.retrieval
 from smr.cli import load_queries, main
 from smr.errors import ConfigError
@@ -158,6 +159,16 @@ class TestRunCommand:
         assert record["ranked_doc_ids"] == ["d3", "d1", "d4"]
         assert record["stop_cause"] == "policy-stop"
         assert record["steps"] == 2
+
+    def test_interrupt_exits_130_with_one_line(self, tmp_path, capsys, monkeypatch):
+        def interrupted(*args, **kwargs):
+            raise KeyboardInterrupt
+
+        monkeypatch.setattr(smr.cli, "run_batch", interrupted)
+        config = build_workspace(tmp_path)
+        assert main(["run", "--config", str(config)]) == 130
+        assert capsys.readouterr().err == "interrupted\n"
+        assert not (tmp_path / "out" / "run.jsonl").exists()
 
     def test_trace_file_written(self, tmp_path):
         config = build_workspace(tmp_path)

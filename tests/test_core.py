@@ -17,8 +17,8 @@ from smr.core import (
 )
 
 
-def make_state(query: str, ids: tuple[str, ...], step: int = 0) -> ReasoningState:
-    return ReasoningState(query=query, docs=RankedList(entries=ids), step=step)
+def make_state(query: str, ids: tuple[str, ...]) -> ReasoningState:
+    return ReasoningState(query=query, docs=RankedList(entries=ids))
 
 
 class TestDocument:
@@ -53,10 +53,6 @@ class TestReasoningState:
         with pytest.raises(ValueError, match="query"):
             make_state("", ("d1",))
 
-    def test_negative_step_rejected(self):
-        with pytest.raises(ValueError):
-            make_state("q", ("d1",), step=-1)
-
 
 class TestStateEquivalent:
     def test_same_query_same_docs(self):
@@ -73,9 +69,6 @@ class TestStateEquivalent:
 
     def test_doc_order_matters(self):
         assert not state_equivalent(make_state("q", ("d1", "d2")), make_state("q", ("d2", "d1")))
-
-    def test_step_is_ignored(self):
-        assert state_equivalent(make_state("q", ("d1",), step=0), make_state("q", ("d1",), step=3))
 
 
 queries = st.text(
@@ -148,49 +141,39 @@ class TestDecision:
 
 
 class TestTransition:
-    def test_stop_must_not_change_state(self):
-        pre = make_state("q", ("d1",))
-        other = make_state("q", ("d1", "d2"))
-        with pytest.raises(ValueError):
-            Transition(Decision.stop(), pre, other, 0, 0.0)
-
-    def test_non_stop_must_advance_step(self):
-        pre = make_state("q", ("d1",))
-        same_step = make_state("q2", ("d1",))
-        with pytest.raises(ValueError, match="advance"):
-            Transition(Decision.refine("q2"), pre, same_step, 1, 0.0)
-
     def test_negative_tokens_rejected(self):
-        pre = make_state("q", ("d1",))
         with pytest.raises(ValueError):
-            Transition(Decision.stop(), pre, pre, -1, 0.0)
+            Transition(Decision.stop(), make_state("q", ("d1",)), -1, 0.0)
 
     def test_valid_refine_transition(self):
-        pre = make_state("q", ("d1",))
-        post = make_state("q2", ("d1",), step=1)
-        tr = Transition(Decision.refine("q2"), pre, post, 12, 0.1)
+        tr = Transition(Decision.refine("q2"), make_state("q2", ("d1",)), 12, 0.1)
         assert tr.output_tokens == 12
 
 
 class TestTrajectory:
     def test_stop_only_final(self):
         s0 = make_state("q", ("d1",))
-        s1 = make_state("q2", ("d1",), step=1)
-        stop_tr = Transition(Decision.stop(), s0, s0, 1, 0.0)
-        refine_tr = Transition(Decision.refine("q2"), s0, s1, 1, 0.0)
+        s1 = make_state("q2", ("d1",))
+        stop_tr = Transition(Decision.stop(), s0, 1, 0.0)
+        refine_tr = Transition(Decision.refine("q2"), s1, 1, 0.0)
         with pytest.raises(ValueError, match="final"):
             Trajectory(s0, (stop_tr, refine_tr), StopCause.POLICY_STOP)
 
-    def test_initial_must_be_step_zero(self):
-        s1 = make_state("q", ("d1",), step=1)
-        with pytest.raises(ValueError):
-            Trajectory(s1, (), StopCause.STEP_CAP)
+    def test_stop_must_not_change_state(self):
+        # A final stop repeats the state before it: the initial state, or the previous post_state.
+        s0 = make_state("q", ("d1",))
+        s1 = make_state("q2", ("d1",))
+        refine_tr = Transition(Decision.refine("q2"), s1, 1, 0.0)
+        with pytest.raises(ValueError, match="must not change the state"):
+            Trajectory(s0, (Transition(Decision.stop(), s1, 0, 0.0),), StopCause.POLICY_STOP)
+        with pytest.raises(ValueError, match="must not change the state"):
+            Trajectory(s0, (refine_tr, Transition(Decision.stop(), s0, 0, 0.0)), StopCause.POLICY_STOP)
 
     def test_counters(self):
         s0 = make_state("q", ("d1",))
-        s1 = make_state("q2", ("d1",), step=1)
-        refine_tr = Transition(Decision.refine("q2"), s0, s1, 10, 0.0)
-        stop_tr = Transition(Decision.stop(), s1, s1, 5, 0.0)
+        s1 = make_state("q2", ("d1",))
+        refine_tr = Transition(Decision.refine("q2"), s1, 10, 0.0)
+        stop_tr = Transition(Decision.stop(), s1, 5, 0.0)
         trajectory = Trajectory(s0, (refine_tr, stop_tr), StopCause.POLICY_STOP)
         assert trajectory.step_count == 1
         assert trajectory.total_output_tokens == 15

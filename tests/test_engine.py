@@ -56,7 +56,6 @@ class TestRunTrajectory:
     def test_initial_state_comes_from_retrieval(self, toy_retriever):
         trajectory = run_trajectory(QUERY, toy_retriever, ScriptedBackend([stop_json()]))
         assert trajectory.initial.query == QUERY
-        assert trajectory.initial.step == 0
         assert list(trajectory.initial.docs.entries) == ["d1"]
 
     def test_always_novel_refine_hits_step_cap(self, toy_retriever):
@@ -134,9 +133,11 @@ class TestRunTrajectory:
         ]
         trajectory = run_trajectory(QUERY, toy_retriever, ScriptedBackend(steps))
         assert trajectory.stop_cause is StopCause.EQUIVALENCE_STOP
+        pre = trajectory.initial
         for i, tr in enumerate(trajectory.transitions):
             is_final = i == len(trajectory.transitions) - 1
-            assert state_equivalent(tr.pre_state, tr.post_state) == is_final
+            assert state_equivalent(pre, tr.post_state) == is_final
+            pre = tr.post_state
 
     def test_script_exhaustion_propagates(self, toy_retriever):
         with pytest.raises(Exception, match="exhausted"):

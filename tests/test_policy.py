@@ -22,7 +22,7 @@ from oracles import format_decision, reference_render_user_text
 
 
 def make_state(query: str, ids: list[str]) -> ReasoningState:
-    return ReasoningState(query=query, docs=RankedList(tuple(ids)), step=0)
+    return ReasoningState(query=query, docs=RankedList(tuple(ids)))
 
 
 def make_store(**texts: str) -> dict[str, Document]:

@@ -18,7 +18,6 @@ from smr.retrieval import (
     DenseStore,
     build_dense_store,
     build_index,
-    bm25_score,
     dense_search,
     load_corpus,
     load_dense_store,
@@ -29,6 +28,7 @@ from smr.retrieval import (
 )
 
 from oracles import (
+    bm25_score,
     exhaustive_dense_ranking,
     oracle_bm25_ranking,
     oracle_bm25_scores,
