@@ -19,14 +19,7 @@ from typing import Any, Callable, Sequence
 
 from .engine import EngineConfig, run_batch, write_run_file, write_trace_file
 from .errors import ConfigError, SmrError, TraceFormatError
-from .evalx import (
-    DEFAULT_METRICS,
-    METRIC_KEYS,
-    analyze_traces,
-    build_report,
-    load_qrels,
-    load_run_records,
-)
+from .evalx import METRIC_KEYS, analyze_traces, build_report, load_qrels, load_run_records
 from .llm import ChatBackend, ChatRequest, HttpBackend, HttpEmbedder, ScriptedBackend
 from .policy import PolicyConfig, load_policy_prompt
 from .retrieval import (
@@ -62,24 +55,10 @@ def _check_keys(block: dict, allowed: set[str], where: str) -> None:
 
 
 def load_queries(path: str) -> list[tuple[str, str]]:
-    """Read queries as JSONL {query_id, text} records or raw lines.
-
-    Plain-text queries get their zero-based position as the id.
-    """
+    """Read queries as JSONL {query_id, text} records."""
+    queries: list[tuple[str, str]] = []
+    seen: set[str] = set()
     with open_input(path, "queries", ConfigError) as fh:
-        first = next((line for line in fh if not line.isspace()), None)
-        if first is None:
-            raise ConfigError(f"{path}: queries file is empty")
-        try:
-            jsonl = isinstance(json.loads(first), dict)
-        except json.JSONDecodeError:
-            jsonl = False
-        fh.seek(0)
-        if not jsonl:
-            texts = [line.strip() for line in fh if not line.isspace()]
-            return [(str(position), text) for position, text in enumerate(texts)]
-        queries: list[tuple[str, str]] = []
-        seen: set[str] = set()
         for lineno, record in iter_jsonl(fh, path, ConfigError, frozenset({"query_id", "text"})):
             query_id = query_id_key(record["query_id"], path, lineno, ConfigError)
             text = record["text"]
@@ -89,6 +68,8 @@ def load_queries(path: str) -> list[tuple[str, str]]:
                 raise ConfigError(f"{path}: line {lineno}: duplicate query_id {query_id!r}")
             seen.add(query_id)
             queries.append((query_id, text))
+    if not queries:
+        raise ConfigError(f"{path}: queries file is empty")
     return queries
 
 
@@ -135,6 +116,8 @@ class RunPlan:
         self.queries_path = _config_str(paths, "queries", "paths", base)
         self.run_path = _config_str(paths, "run", "paths", base)
         self.trace_path = _config_str(paths, "trace", "paths", base)
+        # Every file the run reads or writes, by config key, outputs first.
+        files = {"paths.run": self.run_path, "paths.trace": self.trace_path, "paths.queries": self.queries_path}
 
         engine = raw.get("engine", {})
         if not isinstance(engine, dict) or not isinstance(engine.get("policy", {}), dict):
@@ -142,6 +125,7 @@ class RunPlan:
         policy = dict(engine.get("policy", {}))
         if policy.get("prompt_path") is not None:
             policy["prompt_path"] = _config_str(policy, "prompt_path", "engine.policy", base)
+            files["engine.policy.prompt_path"] = policy["prompt_path"]
         policy_config = _build(PolicyConfig, policy, "engine.policy")
         load_policy_prompt(policy_config.prompt_path)  # a missing prompt file fails here, before any query
         self.engine = _build(EngineConfig, {**engine, "policy": policy_config}, "engine")
@@ -154,6 +138,7 @@ class RunPlan:
         if self.retriever_mode == "bm25_index":
             _check_keys(retriever, {"bm25_index"}, "retriever")
             self.index_path = _config_str(retriever, "bm25_index", "retriever", base)
+            files["retriever.bm25_index"] = self.index_path
         else:
             _check_keys(
                 retriever,
@@ -162,6 +147,8 @@ class RunPlan:
             )
             self.dense_store_path = _config_str(retriever, "dense_store", "retriever", base)
             self.dense_corpus_path = _config_str(retriever, "corpus", "retriever", base)
+            files["retriever.dense_store"] = self.dense_store_path
+            files["retriever.corpus"] = self.dense_corpus_path
             self.embed_endpoint = _config_str(retriever, "embed_endpoint", "retriever")
             self.embed_model = _config_str(retriever, "embed_model", "retriever")
             self.embed_api_key_env = (
@@ -183,6 +170,13 @@ class RunPlan:
         else:
             _check_keys(llm_block, {"script"}, "llm")
             self.script_path = _config_str(llm_block, "script", "llm", base)
+            files["llm.script"] = self.script_path
+
+        resolved = {key: Path(path).resolve() for key, path in files.items()}
+        for output in ("paths.run", "paths.trace"):
+            for key, path in resolved.items():
+                if key != output and path == resolved[output]:
+                    raise ConfigError(f"{output} and {key} name the same file: {path}")
 
     def build_backend_factory(self) -> Callable[[str], ChatBackend]:
         if self.llm_mode == "endpoint":
@@ -200,21 +194,18 @@ class RunPlan:
                 raise ConfigError(f"{self.script_path}: {where} must be a list of strings")
             return steps
 
-        if isinstance(script, list):
-            shared = check_steps(script, "script")
-            return lambda _query_id: ScriptedBackend(shared)
-        if isinstance(script, dict):
-            table = {qid: check_steps(steps, f"entry {qid!r}") for qid, steps in script.items()}
+        if not isinstance(script, dict):
+            raise ConfigError(f"{self.script_path}: script must be a JSON object")
+        table = {qid: check_steps(steps, f"entry {qid!r}") for qid, steps in script.items()}
 
-            def factory(query_id: str) -> ChatBackend:
-                if query_id in table:
-                    return ScriptedBackend(table[query_id])
-                if "*" in table:
-                    return ScriptedBackend(table["*"])
-                raise ConfigError(f"{self.script_path}: no script for query {query_id!r} and no '*' default")
+        def factory(query_id: str) -> ChatBackend:
+            if query_id in table:
+                return ScriptedBackend(table[query_id])
+            if "*" in table:
+                return ScriptedBackend(table["*"])
+            raise ConfigError(f"{self.script_path}: no script for query {query_id!r} and no '*' default")
 
-            return factory
-        raise ConfigError(f"{self.script_path}: script must be a JSON list or object")
+        return factory
 
     def preflight(self) -> None:
         """One cheap endpoint call to fail fast before any query runs."""
@@ -245,18 +236,13 @@ def cmd_index(args: argparse.Namespace) -> int:
 
 def cmd_run(args: argparse.Namespace) -> int:
     plan = RunPlan(args.config)
-    overrides = {key: value for key in ("max_steps", "k", "batch_size") if (value := getattr(args, key)) is not None}
-    try:
-        engine_cfg = dataclasses.replace(plan.engine, **overrides)
-    except ValueError as exc:
-        raise ConfigError(f"engine: {exc}") from None
     # Fail fast on a dead endpoint before any query is consumed.
     plan.preflight()
     factory = plan.build_backend_factory()
     retriever = plan.build_retriever()
     queries = load_queries(plan.queries_path)
 
-    results = run_batch(queries, retriever, factory, engine_cfg)
+    results = run_batch(queries, retriever, factory, plan.engine)
 
     Path(plan.run_path).parent.mkdir(parents=True, exist_ok=True)
     Path(plan.trace_path).parent.mkdir(parents=True, exist_ok=True)
@@ -285,17 +271,13 @@ def cmd_run(args: argparse.Namespace) -> int:
 
 
 def cmd_eval(args: argparse.Namespace) -> int:
-    metrics = tuple(m.strip() for m in args.metrics.split(",") if m.strip())
-    for metric in metrics:
-        if metric not in METRIC_KEYS:
-            raise ConfigError(f"unknown metric {metric!r}; choose from {sorted(METRIC_KEYS)}")
     records = load_run_records(args.run)
     qrels = load_qrels(args.qrels)
     analytics = None
     if args.trace:
         with open_input(args.trace, "trace", TraceFormatError) as fh:
             analytics = analyze_traces(fh, name=args.trace)
-    report = build_report(records, qrels, metrics=metrics, analytics=analytics)
+    report = build_report(records, qrels, analytics=analytics)
 
     evaluated = len(report.per_query)
     print(
@@ -304,8 +286,7 @@ def cmd_eval(args: argparse.Namespace) -> int:
     )
     if report.excluded_queries:
         print(f"excluded (no relevant judgments): {', '.join(report.excluded_queries)}")
-    for metric in metrics:
-        key = METRIC_KEYS[metric]
+    for metric, key in METRIC_KEYS.items():
         value = report.aggregate.get(key)
         print(f"{metric:<12} {value:.6f}" if value is not None else f"{metric:<12} n/a")
     if evaluated:
@@ -373,19 +354,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_run = sub.add_parser("run", help="run the reasoning loop over a query set")
     p_run.add_argument("--config", required=True, help="JSON run configuration")
-    p_run.add_argument("--max-steps", type=int, default=None, help="override engine.max_steps")
-    p_run.add_argument("--k", type=int, default=None, help="override engine.k")
-    p_run.add_argument("--batch-size", type=int, default=None, help="override engine.batch_size")
     p_run.set_defaults(func=cmd_run)
 
     p_eval = sub.add_parser("eval", help="score a run file against judgments")
     p_eval.add_argument("--run", required=True, help="run file from `smr run`")
     p_eval.add_argument("--qrels", required=True, help="judgments: query_id 0 doc_id grade")
-    p_eval.add_argument(
-        "--metrics",
-        default=",".join(DEFAULT_METRICS),
-        help="comma-separated subset of ndcg@10,map@10,recall@10",
-    )
     p_eval.add_argument("--out", default=None, help="write the full report JSON here")
     p_eval.add_argument("--trace", default=None, help="trace file; adds action analytics to the report")
     p_eval.add_argument("--csv", default=None, help="write per-query rows as CSV here")

@@ -14,8 +14,8 @@ from typing import Iterable, Mapping, Sequence
 from .errors import CorpusError
 from .records import iter_traces, open_input, read_run
 
+# Every report scores these, in this order: name as printed -> key in rows and means.
 METRIC_KEYS = {"ndcg@10": "ndcg10", "map@10": "map10", "recall@10": "recall10"}
-DEFAULT_METRICS = ("ndcg@10", "map@10", "recall@10")
 
 
 def judgeable(rels: Mapping[str, int]) -> bool:
@@ -187,7 +187,6 @@ _METRIC_FNS = {"ndcg@10": ndcg_at_k, "map@10": map_at_k, "recall@10": recall_at_
 def build_report(
     run_records: Sequence[dict],
     qrels: Qrels,
-    metrics: Sequence[str] = DEFAULT_METRICS,
     analytics: TraceAnalytics | None = None,
 ) -> EvalReport:
     """Join run output with judgments.
@@ -196,9 +195,6 @@ def build_report(
     land in excluded_queries and stay out of the aggregate means.  Failed
     run entries are listed separately and never scored.
     """
-    for metric in metrics:
-        if metric not in METRIC_KEYS:
-            raise ValueError(f"unknown metric {metric!r}; choose from {sorted(METRIC_KEYS)}")
     per_query: dict[str, dict] = {}
     excluded: list[str] = []
     failed: list[str] = []
@@ -214,19 +210,16 @@ def build_report(
             excluded.append(query_id)
             continue
         ranking = record["ranked_doc_ids"]
-        entry: dict = {}
-        for metric in metrics:
-            entry[METRIC_KEYS[metric]] = _METRIC_FNS[metric](ranking, rels, 10)
+        entry: dict = {key: _METRIC_FNS[metric](ranking, rels, 10) for metric, key in METRIC_KEYS.items()}
         entry["steps"] = int(record.get("steps", 0))
         entry["output_tokens"] = int(record.get("output_tokens", 0))
         per_query[query_id] = entry
     aggregate: dict[str, float] = {}
     if per_query:
-        fields_to_mean = [METRIC_KEYS[m] for m in metrics] + ["steps", "output_tokens"]
-        for key in fields_to_mean:
+        for key in [*METRIC_KEYS.values(), "steps", "output_tokens"]:
             aggregate[key] = sum(entry[key] for entry in per_query.values()) / len(per_query)
     return EvalReport(
-        metrics=list(metrics),
+        metrics=list(METRIC_KEYS),
         per_query=per_query,
         aggregate=aggregate,
         excluded_queries=excluded,

@@ -171,9 +171,11 @@ def iter_traces(lines: Iterable[str], name: str) -> Iterator[QueryTrace]:
     """Each query's records, yielded once its summary or error line ends it.
 
     Raises TraceFormatError naming the line for a query_id that is not a
-    string or an integer, a record of no known shape, a bad action or step,
-    token or step counts that are not non-negative integers, summary counts
-    the transitions disagree with, or a record for a query that already ended.
+    string or an integer, a record of no known shape, a bad action, a step
+    that is not the transition's 1-based position in its query, a transition
+    after a stop, token or step counts that are not non-negative integers,
+    summary counts the transitions disagree with, or a record for a query
+    that already ended.
     """
     pending: dict[str, QueryTrace] = {}
     ended: set[str] = set()
@@ -192,6 +194,13 @@ def iter_traces(lines: Iterable[str], name: str) -> Iterator[QueryTrace]:
                 raise TraceFormatError(f"{name}: line {lineno}: unknown action {action!r}")
             if type(record.get("step")) is not int:
                 raise TraceFormatError(f"{name}: line {lineno}: transition needs an integer step")
+            if trace.transitions and trace.transitions[-1]["action"] == "stop":
+                raise TraceFormatError(f"{name}: line {lineno}: query {query_id!r} has a transition after its stop")
+            if record["step"] != len(trace.transitions) + 1:
+                raise TraceFormatError(
+                    f"{name}: line {lineno}: query {query_id!r} step {record['step']} "
+                    f"should be {len(trace.transitions) + 1}"
+                )
             if not _is_count(record.get("output_tokens")):
                 raise TraceFormatError(f"{name}: line {lineno}: transition needs non-negative integer output_tokens")
             trace.transitions.append(record)

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import json
+import re
 import shutil
 from pathlib import Path
 
@@ -109,10 +110,16 @@ class TestLoadQueries:
         path.write_text('{"query_id": "a", "text": "one"}\n{"query_id": "b", "text": "two"}\n')
         assert load_queries(str(path)) == [("a", "one"), ("b", "two")]
 
-    def test_plain_lines_get_positional_ids(self, tmp_path):
-        path = tmp_path / "queries.txt"
-        path.write_text("first query\n\nsecond query\n")
-        assert load_queries(str(path)) == [("0", "first query"), ("1", "second query")]
+    @pytest.mark.parametrize(
+        "text",
+        ['{"query_id": "a", "text": "one"\n{"query_id": "b", "text": "two"}\n', "first query\n\nsecond query\n"],
+        ids=["broken-first-line", "plain-text"],
+    )
+    def test_only_jsonl_is_read(self, tmp_path, text):
+        path = tmp_path / "queries.jsonl"
+        path.write_text(text)
+        with pytest.raises(ConfigError, match=rf"^{re.escape(str(path))}: line 1: invalid JSON"):
+            load_queries(str(path))
 
     def test_duplicate_ids_rejected(self, tmp_path):
         path = tmp_path / "queries.jsonl"
@@ -191,26 +198,72 @@ class TestRunCommand:
         )
         assert first == second
 
-    def test_max_steps_override_beats_config(self, tmp_path):
-        script = {"q1": [refine_json(f"level {i} pasta") for i in range(8)]}
-        config = build_workspace(tmp_path, script=script, engine_block={"max_steps": 4})
-        main(["run", "--config", str(config)])
-        record = json.loads((tmp_path / "out" / "run.jsonl").read_text())
-        assert record["steps"] == 4
-        assert record["stop_cause"] == "step-cap"
-        main(["run", "--config", str(config), "--max-steps", "2"])
-        record = json.loads((tmp_path / "out" / "run.jsonl").read_text())
-        assert record["steps"] == 2
+    def test_broken_queries_line_fails_before_any_output(self, tmp_path, capsys):
+        config = build_workspace(tmp_path)
+        queries = tmp_path / "queries.jsonl"
+        queries.write_text('{"query_id": "q1", "text": "what is an LLM"\n{"query_id": "q2", "text": "pasta"}\n')
+        assert main(["run", "--config", str(config)]) == 1
+        assert capsys.readouterr().err.startswith(f"error: {queries}: line 1: invalid JSON")
+        assert not (tmp_path / "out").exists()
 
-    def test_shared_list_script_serves_every_query(self, tmp_path, capsys):
-        queries = [
-            {"query_id": "q1", "text": "what is an LLM"},
-            {"query_id": "q2", "text": "pasta cooking"},
-        ]
-        config = build_workspace(tmp_path, script=[stop_json()], queries=queries)
-        rc = main(["run", "--config", str(config)])
-        assert rc == 0
-        assert "ran 2 queries (0 failed)" in capsys.readouterr().out
+    def test_list_script_rejected(self, tmp_path, capsys):
+        config = build_workspace(tmp_path, script=[stop_json()])
+        assert main(["run", "--config", str(config)]) == 1
+        assert capsys.readouterr().err == f"error: {tmp_path / 'script.json'}: script must be a JSON object\n"
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("flag", ["--max-steps", "--k", "--batch-size"])
+    def test_engine_settings_come_only_from_config(self, tmp_path, capsys, flag):
+        config = build_workspace(tmp_path)
+        with pytest.raises(SystemExit) as excinfo:
+            main(["run", "--config", str(config), flag, "3"])
+        assert excinfo.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize(
+        "blocks, output, clash",
+        [
+            ({"paths": {"queries": "queries.jsonl", "run": "out/a.jsonl", "trace": "out/./a.jsonl"}},
+             "paths.run", "paths.trace"),
+            ({"paths": {"queries": "queries.jsonl", "run": "q/../queries.jsonl", "trace": "t.jsonl"}},
+             "paths.run", "paths.queries"),
+            ({"paths": {"queries": "queries.jsonl", "run": "r.jsonl", "trace": "index.json"}},
+             "paths.trace", "retriever.bm25_index"),
+            ({"paths": {"queries": "queries.jsonl", "run": "script.json", "trace": "t.jsonl"}},
+             "paths.run", "llm.script"),
+            ({"paths": {"queries": "queries.jsonl", "run": "r.jsonl", "trace": "prompt.txt"},
+              "engine": {"policy": {"prompt_path": "prompt.txt"}}},
+             "paths.trace", "engine.policy.prompt_path"),
+            ({"paths": {"queries": "queries.jsonl", "run": "store.jsonl", "trace": "t.jsonl"},
+              "retriever": DENSE_BLOCK},
+             "paths.run", "retriever.dense_store"),
+            ({"paths": {"queries": "queries.jsonl", "run": "r.jsonl", "trace": "corpus.jsonl"},
+              "retriever": DENSE_BLOCK},
+             "paths.trace", "retriever.corpus"),
+        ],
+        ids=["run-trace", "run-queries", "trace-index", "run-script", "trace-prompt", "run-store", "trace-corpus"],
+    )
+    def test_output_path_clash_rejected_before_any_output(self, tmp_path, capsys, blocks, output, clash):
+        config = build_workspace(tmp_path)
+        (tmp_path / "prompt.txt").write_text("custom instructions\n", encoding="utf-8")
+        raw = json.loads(config.read_text())
+        raw.update(blocks)
+        config.write_text(json.dumps(raw))
+        before = sorted(tmp_path.rglob("*"))
+        assert main(["run", "--config", str(config)]) == 1
+        target = (tmp_path / raw["paths"][output.removeprefix("paths.")]).resolve()
+        assert capsys.readouterr().err == f"error: {config}: {output} and {clash} name the same file: {target}\n"
+        assert sorted(tmp_path.rglob("*")) == before
+
+    def test_output_symlinked_to_input_rejected(self, tmp_path, capsys):
+        config = build_workspace(tmp_path)
+        (tmp_path / "out").mkdir()
+        (tmp_path / "out" / "trace.jsonl").symlink_to(tmp_path / "queries.jsonl")
+        assert main(["run", "--config", str(config)]) == 1
+        queries = (tmp_path / "queries.jsonl").resolve()
+        assert capsys.readouterr().err == f"error: {config}: paths.trace and paths.queries name the same file: {queries}\n"
+        assert not (tmp_path / "out" / "run.jsonl").exists()
 
     def test_star_default_covers_unlisted_queries(self, tmp_path, capsys):
         queries = [
@@ -355,11 +408,6 @@ class TestRunCommand:
         assert capsys.readouterr().err == f"error: {config}: prompt file not found: {tmp_path / 'nope.txt'}\n"
         assert not (tmp_path / "out").exists()
 
-    def test_invalid_override_rejected(self, tmp_path, capsys):
-        config = build_workspace(tmp_path)
-        assert main(["run", "--config", str(config), "--k", "0"]) == 1
-        assert capsys.readouterr().err == "error: engine: k must be >= 1\n"
-
 
 class TestRunEndpointMode:
     def endpoint_config(self, tmp_path, endpoint) -> Path:
@@ -369,8 +417,10 @@ class TestRunEndpointMode:
 
     def test_end_to_end_over_http(self, tmp_path, endpoint, monkeypatch, capsys):
         monkeypatch.setenv("SMR_API_KEY", "secret-key")
-        config = self.endpoint_config(tmp_path, endpoint)
-        rc = main(["run", "--config", str(config), "--batch-size", "1"])
+        config = build_workspace(
+            tmp_path, llm_block={"endpoint": endpoint.url, "model": "test-model"}, engine_block={"batch_size": 1}
+        )
+        rc = main(["run", "--config", str(config)])
         assert rc == 0
         record = json.loads((tmp_path / "out" / "run.jsonl").read_text())
         assert record["stop_cause"] == "policy-stop"
@@ -414,31 +464,14 @@ class TestEvalCommand:
         for metric in ("ndcg@10", "map@10", "recall@10"):
             assert f"{metric:<12} 1.000000" in stdout
 
-    def test_metric_subset(self, tmp_path, capsys):
+    def test_metrics_flag_is_gone(self, tmp_path, capsys):
         out = completed_run(tmp_path)
         capsys.readouterr()
-        main(
-            [
-                "eval",
-                "--run",
-                str(out / "run.jsonl"),
-                "--qrels",
-                str(DATA_DIR / "qrels.txt"),
-                "--metrics",
-                "map@10",
-            ]
-        )
-        stdout = capsys.readouterr().out
-        assert "map@10" in stdout
-        assert "ndcg@10" not in stdout
-
-    def test_unknown_metric_rejected(self, tmp_path, capsys):
-        out = completed_run(tmp_path)
-        rc = main(
-            ["eval", "--run", str(out / "run.jsonl"), "--qrels", str(DATA_DIR / "qrels.txt"), "--metrics", "mrr"]
-        )
-        assert rc == 1
-        assert "unknown metric" in capsys.readouterr().err
+        argv = ["eval", "--run", str(out / "run.jsonl"), "--qrels", str(DATA_DIR / "qrels.txt")]
+        with pytest.raises(SystemExit) as excinfo:
+            main([*argv, "--metrics", "ndcg@10"])
+        assert excinfo.value.code == 2
+        assert "unrecognized arguments: --metrics" in capsys.readouterr().err
 
     def test_report_and_csv_outputs(self, tmp_path, capsys):
         out = completed_run(tmp_path)

@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 from smr.cli import main
 from smr.errors import CorpusError, TraceFormatError
 from smr.evalx import (
-    DEFAULT_METRICS,
     EvalReport,
     Qrels,
     TraceAnalytics,
@@ -269,6 +268,18 @@ class TestAnalyzeTraces:
                 [transition_line("a", 1, "refine"), summary_line("a", 1, 3)],
                 "line 2: query 'a' summary says 3 output_tokens, trace shows 0",
             ),
+            (
+                [transition_line("a", 7, "stop"), transition_line("a", 7, "refine"), summary_line("a", 1, 0)],
+                "line 1: query 'a' step 7 should be 1",
+            ),
+            (
+                [transition_line("a", 1, "refine"), transition_line("a", 3, "refine"), summary_line("a", 2, 0)],
+                "line 2: query 'a' step 3 should be 2",
+            ),
+            (
+                [transition_line("a", 1, "stop"), transition_line("a", 2, "refine"), summary_line("a", 1, 0)],
+                "line 2: query 'a' has a transition after its stop",
+            ),
         ],
         ids=[
             "transition-without-step",
@@ -277,6 +288,9 @@ class TestAnalyzeTraces:
             "boolean-query-id",
             "negative-transition-tokens",
             "summary-tokens-disagree",
+            "step-not-position",
+            "step-skipped",
+            "transition-after-stop",
         ],
     )
     def test_malformed_trace_names_file_and_line(self, lines, message):
@@ -385,15 +399,6 @@ class TestBuildReport:
         assert report.aggregate["output_tokens"] == pytest.approx(50.0)
         assert report.aggregate["ndcg10"] == pytest.approx(1.0)
 
-    def test_unknown_metric_rejected(self):
-        with pytest.raises(ValueError, match="unknown metric"):
-            build_report([], self.qrels(), metrics=("mrr@10",))
-
-    def test_metric_subset_respected(self):
-        report = build_report([run_record("q1", ["d1", "d3"])], self.qrels(), metrics=("map@10",))
-        assert set(report.per_query["q1"]) == {"map10", "steps", "output_tokens"}
-        assert set(report.aggregate) == {"map10", "steps", "output_tokens"}
-
     def test_no_scorable_queries_means_empty_aggregate(self):
         report = build_report([run_record("q2", ["d9"])], self.qrels())
         assert report.aggregate == {}
@@ -407,7 +412,7 @@ class TestBuildReport:
     def test_to_dict_shape(self):
         report = build_report([run_record("q1", ["d1", "d3"])], self.qrels())
         payload = report.to_dict()
-        assert payload["metrics"] == list(DEFAULT_METRICS)
+        assert payload["metrics"] == ["ndcg@10", "map@10", "recall@10"]
         assert json.dumps(payload)  # serializable as-is
 
     def test_csv_rows_sorted_and_formatted(self):
