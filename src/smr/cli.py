@@ -236,11 +236,11 @@ def cmd_index(args: argparse.Namespace) -> int:
 
 def cmd_run(args: argparse.Namespace) -> int:
     plan = RunPlan(args.config)
+    queries = load_queries(plan.queries_path)
     # Fail fast on a dead endpoint before any query is consumed.
     plan.preflight()
     factory = plan.build_backend_factory()
     retriever = plan.build_retriever()
-    queries = load_queries(plan.queries_path)
 
     results = run_batch(queries, retriever, factory, plan.engine)
 
@@ -324,7 +324,7 @@ def cmd_inspect(args: argparse.Namespace) -> int:
         return 0
     summary = found.summary
     assert summary is not None
-    print(f"query {args.query_id}: {summary['steps']} steps, stop cause: {summary.get('stop_cause')}")
+    print(f"query {args.query_id}: {summary['steps']} steps, stop cause: {summary['stop_cause']}")
     for record in found.transitions:
         print(
             f"\nstep {record['step']}  {record['action']}"

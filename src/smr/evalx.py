@@ -71,18 +71,9 @@ def recall_at_k(ranking: Sequence[str], rels: Mapping[str, int], k: int = 10) ->
     return found / len(relevant)
 
 
-@dataclass(frozen=True)
-class Qrels:
-    """Relevance judgments: query_id -> {doc_id: grade}."""
-
-    by_query: dict[str, dict[str, int]]
-
-    def for_query(self, query_id: str) -> dict[str, int]:
-        return self.by_query.get(query_id, {})
-
-
-def parse_qrels(lines: Iterable[str], name: str = "qrels") -> Qrels:
-    """Parse the four-column judgment format: query_id 0 doc_id grade."""
+def parse_qrels(lines: Iterable[str], name: str = "qrels") -> dict[str, dict[str, int]]:
+    """Parse the four-column judgment format (query_id 0 doc_id grade) into
+    query_id -> {doc_id: grade}."""
     by_query: dict[str, dict[str, int]] = {}
     for lineno, line in enumerate(lines, start=1):
         stripped = line.strip()
@@ -104,10 +95,10 @@ def parse_qrels(lines: Iterable[str], name: str = "qrels") -> Qrels:
                 f"{name}: line {lineno}: repeated judgment for query {query_id!r}, doc {doc_id!r}"
             )
         grades[doc_id] = grade
-    return Qrels(by_query=by_query)
+    return by_query
 
 
-def load_qrels(path: str) -> Qrels:
+def load_qrels(path: str) -> dict[str, dict[str, int]]:
     with open_input(path, "qrels", CorpusError) as fh:
         return parse_qrels(fh, name=path)
 
@@ -135,10 +126,8 @@ def analyze_traces(lines: Iterable[str], name: str = "trace") -> TraceAnalytics:
             action = record["action"]
             if action != "stop":
                 histogram[action] = histogram.get(action, 0) + 1
-        if trace.error is not None:
-            continue
-        summary = trace.summary or {}
-        summaries[trace.query_id] = {key: summary.get(key) for key in ("steps", "output_tokens", "stop_cause")}
+        if trace.summary is not None:
+            summaries[trace.query_id] = {key: trace.summary[key] for key in ("steps", "output_tokens", "stop_cause")}
     depths = [info["steps"] for info in summaries.values()]
     max_depth = max(depths, default=0)
     cumulative = [sum(1 for d in depths if d >= i) for i in range(1, max_depth + 1)]
@@ -186,7 +175,7 @@ _METRIC_FNS = {"ndcg@10": ndcg_at_k, "map@10": map_at_k, "recall@10": recall_at_
 
 def build_report(
     run_records: Sequence[dict],
-    qrels: Qrels,
+    qrels: Mapping[str, Mapping[str, int]],
     analytics: TraceAnalytics | None = None,
 ) -> EvalReport:
     """Join run output with judgments.
@@ -204,15 +193,15 @@ def build_report(
         if "error" in record:
             failed.append(query_id)
             continue
-        total_tokens += int(record.get("output_tokens", 0))
-        rels = qrels.for_query(query_id)
+        total_tokens += record["output_tokens"]
+        rels = qrels.get(query_id, {})
         if not judgeable(rels):
             excluded.append(query_id)
             continue
         ranking = record["ranked_doc_ids"]
         entry: dict = {key: _METRIC_FNS[metric](ranking, rels, 10) for metric, key in METRIC_KEYS.items()}
-        entry["steps"] = int(record.get("steps", 0))
-        entry["output_tokens"] = int(record.get("output_tokens", 0))
+        entry["steps"] = record["steps"]
+        entry["output_tokens"] = record["output_tokens"]
         per_query[query_id] = entry
     aggregate: dict[str, float] = {}
     if per_query:

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import functools
 import json
-import math
 from dataclasses import dataclass
 from importlib import resources
 from typing import Mapping
@@ -25,42 +24,33 @@ _ACTION_RERANK = "re-rank"
 _ACTION_STOP = "stop"
 
 
+# One decision-call policy for every run: attempt i runs at temperature
+# i * TEMPERATURE_STEP, each document is cut at DOC_SNIPPET_CHARS characters,
+# and each call asks for at most MAX_OUTPUT_TOKENS output tokens.
+TEMPERATURE_STEP = 0.1
+DOC_SNIPPET_CHARS = 2000
+MAX_OUTPUT_TOKENS = 1024
+
+
+def temperature_for_attempt(attempt: int) -> float:
+    # Rounded so that 0.1 * 3 is sent and traced as 0.3, not 0.30000000000000004.
+    return round(attempt * TEMPERATURE_STEP, 10)
+
+
 @dataclass(frozen=True)
 class PolicyConfig:
-    """Knobs for prompt rendering and the retry-with-escalation loop.
+    """The retry budget and the prompt file; the schedule must stay inside [0, 1]."""
 
-    Attempt i runs at base_temperature + i * temperature_increment, rounded
-    to 10 decimal places; the schedule must stay inside [0, 1] end to end.
-    """
-
-    base_temperature: float = 0.0
-    temperature_increment: float = 0.1
     max_attempts: int = 6
-    doc_snippet_chars: int = 2000
-    max_output_tokens: int = 1024
     prompt_path: str | None = None
 
     def __post_init__(self) -> None:
-        require_ints(self, ("max_attempts", "doc_snippet_chars", "max_output_tokens"))
+        require_ints(self, ("max_attempts",))
         if self.max_attempts < 1:
             raise ValueError("max_attempts must be >= 1")
-        if self.doc_snippet_chars < 1:
-            raise ValueError("doc_snippet_chars must be >= 1")
-        if self.max_output_tokens < 1:
-            raise ValueError("max_output_tokens must be >= 1")
-        for name in ("base_temperature", "temperature_increment"):
-            value = getattr(self, name)
-            if not isinstance(value, (int, float)) or isinstance(value, bool) or not math.isfinite(value):
-                raise ValueError(f"{name} must be a real number")
-        if self.base_temperature < 0.0 or self.temperature_increment < 0.0:
-            raise ValueError("temperatures must be non-negative")
-        top = self.temperature_for_attempt(self.max_attempts - 1)
+        top = temperature_for_attempt(self.max_attempts - 1)
         if top > 1.0:
             raise ValueError(f"escalation schedule exceeds temperature 1.0 (tops out at {top})")
-
-    def temperature_for_attempt(self, attempt: int) -> float:
-        # Rounded so that 0.1 * 3 is sent and traced as 0.3, not 0.30000000000000004.
-        return round(self.base_temperature + attempt * self.temperature_increment, 10)
 
 
 @functools.cache
@@ -73,20 +63,19 @@ def load_policy_prompt(prompt_path: str | None = None) -> str:
 
 
 # The most rendered lines _pair keeps.  This holds every document of a
-# 16k-document corpus at one snippet length; a bound near batch_size *
-# max_list_size would evict lines that the next step renders again.
-# Worst-case memory: a line has at most 6 * (len(doc_id) + doc_snippet_chars)
-# + 12 characters (json.dumps escapes a control character to six) of up to 4
-# bytes each, so at the default 2000-character snippets a full cache holds
-# about 34 MB of plain text and at most about 790 MB.  The keys also keep
+# 16k-document corpus; a bound near batch_size * max_list_size would evict
+# lines that the next step renders again.  Worst-case memory: a line has at
+# most 6 * (len(doc_id) + DOC_SNIPPET_CHARS) + 12 characters (json.dumps
+# escapes a control character to six) of up to 4 bytes each, so a full cache
+# holds about 34 MB of plain text and at most about 790 MB.  The keys also keep
 # their documents' texts alive while their lines are cached.
 _PAIR_CACHE_LINES = 16384
 
 
 @functools.lru_cache(maxsize=_PAIR_CACHE_LINES)
-def _pair(doc_id: str, text: str, doc_snippet_chars: int) -> str:
+def _pair(doc_id: str, text: str) -> str:
     """One rendered ``    ("<id>", "<snippet>")`` line, without its separator."""
-    snippet = text[:doc_snippet_chars]
+    snippet = text[:DOC_SNIPPET_CHARS]
     return f"    ({json.dumps(doc_id, ensure_ascii=False)}, {json.dumps(snippet, ensure_ascii=False)})"
 
 
@@ -99,9 +88,9 @@ def render_policy_prompt(
 
     The user text mirrors the input structure the prompt documents: the
     current query plus (docid, contents) pairs in ranked order.  Document
-    contents are cut at doc_snippet_chars characters, with no ellipsis
-    marker.  Each pair is rendered once per (doc_id, text,
-    doc_snippet_chars) and reused from a bounded cache afterwards.
+    contents are cut at DOC_SNIPPET_CHARS characters, with no ellipsis
+    marker.  Each pair is rendered once per (doc_id, text) and reused from
+    a bounded cache afterwards.
     """
     cfg = config or PolicyConfig()
     system_text = load_policy_prompt(cfg.prompt_path)
@@ -110,7 +99,7 @@ def render_policy_prompt(
         doc = doc_store.get(doc_id)
         if doc is None:
             raise UnknownDocumentError(f"ranked list references unknown doc_id {doc_id!r}")
-        pairs.append(_pair(doc_id, doc.text, cfg.doc_snippet_chars))
+        pairs.append(_pair(doc_id, doc.text))
     query = json.dumps(state.query, ensure_ascii=False)
     retrieved = "[\n" + ",\n".join(pairs) + "\n]" if pairs else "[]"
     return system_text, f'{{\n"query": {query},\n"retrieved": {retrieved}\n}}'
@@ -193,7 +182,7 @@ def decide(
 ) -> DecisionOutcome:
     """Ask the backend for the next action, escalating temperature on failure.
 
-    Attempt i runs at base + i * increment.  Tokens from failed attempts
+    Attempt i runs at temperature_for_attempt(i).  Tokens from failed attempts
     still count: the model generated them.  Transport errors propagate
     immediately; only parse failures are retried.  When all attempts fail,
     the outcome is a synthesized stop with fallback=True.
@@ -201,14 +190,14 @@ def decide(
     cfg = config or PolicyConfig()
     system_text, user_text = render_policy_prompt(state, doc_store, cfg)
     total_tokens = 0
-    temperature = cfg.base_temperature
+    temperature = 0.0
     for attempt in range(cfg.max_attempts):
-        temperature = cfg.temperature_for_attempt(attempt)
+        temperature = temperature_for_attempt(attempt)
         request = ChatRequest(
             system_text=system_text,
             user_text=user_text,
             temperature=temperature,
-            max_output_tokens=cfg.max_output_tokens,
+            max_output_tokens=MAX_OUTPUT_TOKENS,
         )
         response = backend.complete(request)
         total_tokens += response.output_tokens

@@ -12,6 +12,7 @@ from contextlib import contextmanager
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Iterable, Iterator, TextIO
 
+from .core import StopCause
 from .errors import CorpusError, SmrError, TraceFormatError
 
 if TYPE_CHECKING:
@@ -19,6 +20,8 @@ if TYPE_CHECKING:
 
 _QUERY_ID = frozenset({"query_id"})
 _ACTIONS = ("refine", "rerank", "stop")
+_STOP_CAUSES = tuple(cause.value for cause in StopCause)
+_STOP_CAUSE_LIST = ", ".join(_STOP_CAUSES)
 
 
 @contextmanager
@@ -100,7 +103,9 @@ def read_run(lines: Iterable[str], name: str) -> list[dict]:
     Raises CorpusError naming the line for a query_id that is not a string
     or an integer or that repeats, a record with neither an error nor a
     ranked_doc_ids list, a ranked_doc_ids entry that is not a string or
-    repeats, or counts that are not non-negative integers.
+    repeats, or a success record without the rest of the shape
+    emit_run_record writes: a string final_query, a known stop_cause, and
+    steps and output_tokens that are non-negative integers.
     """
     records: list[dict] = []
     seen: set[str] = set()
@@ -115,8 +120,12 @@ def read_run(lines: Iterable[str], name: str) -> list[dict]:
                 raise CorpusError(f"{name}: line {lineno}: record needs an error or a ranked_doc_ids list")
             if not all(type(doc_id) is str for doc_id in ranked) or len(set(ranked)) != len(ranked):
                 raise CorpusError(f"{name}: line {lineno}: ranked_doc_ids must be distinct strings")
-            if not _is_count(record.get("steps", 0)) or not _is_count(record.get("output_tokens", 0)):
-                raise CorpusError(f"{name}: line {lineno}: steps and output_tokens must be non-negative integers")
+            if type(record.get("final_query")) is not str:
+                raise CorpusError(f"{name}: line {lineno}: record needs a string final_query")
+            if record.get("stop_cause") not in _STOP_CAUSES:
+                raise CorpusError(f"{name}: line {lineno}: record needs a stop_cause, one of {_STOP_CAUSE_LIST}")
+            if not _is_count(record.get("steps")) or not _is_count(record.get("output_tokens")):
+                raise CorpusError(f"{name}: line {lineno}: record needs non-negative integer steps and output_tokens")
         records.append(record)
     return records
 
@@ -174,6 +183,7 @@ def iter_traces(lines: Iterable[str], name: str) -> Iterator[QueryTrace]:
     string or an integer, a record of no known shape, a bad action, a step
     that is not the transition's 1-based position in its query, a transition
     after a stop, token or step counts that are not non-negative integers,
+    a summary with no transition before it or with an unknown stop_cause,
     summary counts the transitions disagree with, or a record for a query
     that already ended.
     """
@@ -212,6 +222,10 @@ def iter_traces(lines: Iterable[str], name: str) -> Iterator[QueryTrace]:
                 raise TraceFormatError(
                     f"{name}: line {lineno}: summary needs non-negative integer steps and output_tokens"
                 )
+            if not trace.transitions:
+                raise TraceFormatError(f"{name}: line {lineno}: query {query_id!r} summary has no transition before it")
+            if record.get("stop_cause") not in _STOP_CAUSES:
+                raise TraceFormatError(f"{name}: line {lineno}: summary needs a stop_cause, one of {_STOP_CAUSE_LIST}")
             if steps != trace.advancing:
                 raise TraceFormatError(
                     f"{name}: line {lineno}: query {query_id!r} summary says {steps} steps, "

@@ -210,7 +210,7 @@ def test_criterion_07_toy_corpus_end_to_end(toy_corpus, toy_retriever):
     script = json.loads((DATA_DIR / "script.json").read_text(encoding="utf-8"))["q1"]
     refined = json.loads(script[0])["refined_query"]
     proposal = json.loads(script[1])["reranked"]
-    rels = load_qrels(str(DATA_DIR / "qrels.txt")).for_query("q1")
+    rels = load_qrels(str(DATA_DIR / "qrels.txt"))["q1"]
     query = "what is an LLM"
 
     # expected outcome derived entirely from the reference implementations

@@ -374,8 +374,6 @@ class TestRunCommand:
             ("engine", "batch_size", 2.0),
             ("engine", "max_list_size", 100.0),
             ("engine.policy", "max_attempts", 2.0),
-            ("engine.policy", "doc_snippet_chars", 2.5),
-            ("engine.policy", "max_output_tokens", True),
         ],
     )
     def test_non_integer_count_rejected_before_any_query(self, tmp_path, capsys, where, key, value):
@@ -387,12 +385,17 @@ class TestRunCommand:
 
     @pytest.mark.parametrize(
         "key, value",
-        [("base_temperature", True), ("base_temperature", "0.1"), ("temperature_increment", None)],
+        [
+            ("base_temperature", 0.0),
+            ("temperature_increment", 0.1),
+            ("doc_snippet_chars", 2000),
+            ("max_output_tokens", 1024),
+        ],
     )
-    def test_non_numeric_temperature_rejected_before_any_query(self, tmp_path, capsys, key, value):
-        config = build_workspace(tmp_path, engine_block={"policy": {key: value, "max_attempts": 1}})
+    def test_fixed_policy_setting_rejected_before_any_output(self, tmp_path, capsys, key, value):
+        config = build_workspace(tmp_path, engine_block={"policy": {key: value}})
         assert main(["run", "--config", str(config)]) == 1
-        assert capsys.readouterr().err == f"error: {config}: engine.policy: {key} must be a real number\n"
+        assert capsys.readouterr().err == f"error: {config}: engine.policy: unknown keys ['{key}']\n"
         assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("missing, kind", [("queries.jsonl", "queries"), ("index.json", "index")])
@@ -436,6 +439,16 @@ class TestRunEndpointMode:
         assert main(["run", "--config", str(config)]) == 1
         assert "SMR_API_KEY" in capsys.readouterr().err
         assert endpoint.received == []
+
+    def test_broken_queries_line_fails_before_any_endpoint_call(self, tmp_path, endpoint, monkeypatch, capsys):
+        monkeypatch.setenv("SMR_API_KEY", "secret-key")
+        config = self.endpoint_config(tmp_path, endpoint)
+        queries = tmp_path / "queries.jsonl"
+        queries.write_text('{"query_id": "q1", "text": "what is an LLM"\n')
+        assert main(["run", "--config", str(config)]) == 1
+        assert capsys.readouterr().err.startswith(f"error: {queries}: line 1: invalid JSON")
+        assert endpoint.received == []
+        assert not (tmp_path / "out").exists()
 
     def test_preflight_failure_stops_before_any_output(self, tmp_path, endpoint, monkeypatch, capsys):
         monkeypatch.setenv("SMR_API_KEY", "secret-key")
@@ -556,11 +569,19 @@ class TestInspectCommand:
     @pytest.mark.parametrize(
         "records, lineno",
         [
-            ([{"query_id": "q1", "steps": 0, "output_tokens": 0, "stop_cause": "policy-stop"}, "not json"], 2),
+            (
+                [
+                    {"query_id": "q1", "step": 1, "action": "stop", "output_tokens": 0},
+                    {"query_id": "q1", "steps": 0, "output_tokens": 0, "stop_cause": "policy-stop"},
+                    "not json",
+                ],
+                3,
+            ),
             ([{"query_id": "q1", "action": "stop"}], 1),
             ([{"query_id": "q1", "output_tokens": 1, "stop_cause": "policy-stop"}], 1),
+            ([{"query_id": "q1", "steps": 0, "output_tokens": 0, "stop_cause": "bogus"}], 1),
         ],
-        ids=["invalid-json", "transition-without-step", "summary-without-steps"],
+        ids=["invalid-json", "transition-without-step", "summary-without-steps", "bare-summary"],
     )
     def test_malformed_line_names_file_and_line(self, tmp_path, capsys, records, lineno):
         trace = tmp_path / "trace.jsonl"

@@ -37,7 +37,7 @@ class TestEngineConfig:
         assert cfg.max_steps == 16
         assert cfg.batch_size == 8
         assert cfg.max_list_size == 100
-        assert cfg.policy.base_temperature == 0.0
+        assert cfg.policy == PolicyConfig()
 
     def test_cap_must_cover_k(self):
         with pytest.raises(ValueError):

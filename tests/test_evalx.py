@@ -11,7 +11,6 @@ from smr.cli import main
 from smr.errors import CorpusError, TraceFormatError
 from smr.evalx import (
     EvalReport,
-    Qrels,
     TraceAnalytics,
     analyze_traces,
     build_report,
@@ -125,15 +124,14 @@ class TestMetricProperties:
 class TestQrels:
     def test_parse_groups_by_query(self):
         qrels = parse_qrels(["q1 0 d1 2", "q1 0 d2 0", "q2 0 d1 1"])
-        assert qrels.for_query("q1") == {"d1": 2, "d2": 0}
-        assert qrels.for_query("q2") == {"d1": 1}
+        assert qrels == {"q1": {"d1": 2, "d2": 0}, "q2": {"d1": 1}}
 
     def test_unknown_query_is_empty(self):
-        assert parse_qrels([]).for_query("nope") == {}
+        assert "nope" not in parse_qrels(["q1 0 d1 1"])
 
     def test_blank_lines_skipped(self):
         qrels = parse_qrels(["", "q1 0 d1 1", "   "])
-        assert qrels.for_query("q1") == {"d1": 1}
+        assert qrels == {"q1": {"d1": 1}}
 
     def test_field_count_error_names_line(self):
         with pytest.raises(CorpusError, match=r"line 2"):
@@ -160,7 +158,7 @@ class TestQrels:
     def test_load_round_trip(self, tmp_path):
         path = tmp_path / "judgments.txt"
         path.write_text("q1 0 d1 2\nq1 0 d3 1\n", encoding="utf-8")
-        assert load_qrels(str(path)).for_query("q1") == {"d1": 2, "d3": 1}
+        assert load_qrels(str(path)) == {"q1": {"d1": 2, "d3": 1}}
 
 
 def transition_line(query_id: str, step: int, action: str, tokens: int = 0) -> str:
@@ -212,8 +210,8 @@ class TestAnalyzeTraces:
         assert analytics.per_query == {}
 
     def test_invalid_json_names_line(self):
-        with pytest.raises(TraceFormatError, match=r"line 2"):
-            analyze_traces([summary_line("a", 0, 0), "{oops"])
+        with pytest.raises(TraceFormatError, match=r"line 3"):
+            analyze_traces([transition_line("a", 1, "stop"), summary_line("a", 0, 0), "{oops"])
 
     def test_record_without_query_id_rejected(self):
         with pytest.raises(TraceFormatError, match="query_id"):
@@ -280,6 +278,15 @@ class TestAnalyzeTraces:
                 [transition_line("a", 1, "stop"), transition_line("a", 2, "refine"), summary_line("a", 1, 0)],
                 "line 2: query 'a' has a transition after its stop",
             ),
+            (
+                [summary_line("a", 0, 0)],
+                "line 1: query 'a' summary has no transition before it",
+            ),
+            (
+                [transition_line("a", 1, "stop"), summary_line("a", 0, 0, cause="bogus")],
+                "line 2: summary needs a stop_cause, one of policy-stop, equivalence-stop, "
+                "step-cap, policy-failure-fallback",
+            ),
         ],
         ids=[
             "transition-without-step",
@@ -291,6 +298,8 @@ class TestAnalyzeTraces:
             "step-not-position",
             "step-skipped",
             "transition-after-stop",
+            "summary-without-transitions",
+            "unknown-stop-cause",
         ],
     )
     def test_malformed_trace_names_file_and_line(self, lines, message):
@@ -309,6 +318,10 @@ def run_record(query_id: str, ranking: list[str], steps: int = 2, tokens: int = 
     }
 
 
+def without(record: dict, key: str) -> dict:
+    return {k: v for k, v in record.items() if k != key}
+
+
 class TestLoadRunRecords:
     def test_round_trip(self, tmp_path):
         path = tmp_path / "run.jsonl"
@@ -324,7 +337,7 @@ class TestLoadRunRecords:
 
     def test_invalid_json_names_line(self, tmp_path):
         path = tmp_path / "run.jsonl"
-        path.write_text('{"query_id": "q1", "ranked_doc_ids": []}\nnot json\n', encoding="utf-8")
+        path.write_text(json.dumps(run_record("q1", [])) + "\nnot json\n", encoding="utf-8")
         with pytest.raises(CorpusError, match="line 2"):
             load_run_records(str(path))
 
@@ -338,6 +351,13 @@ class TestLoadRunRecords:
             ([run_record("q1", [1, 2])], 1),
             ([run_record("q1", ["d"]), run_record("q2", ["d"], steps=-2, tokens=-5)], 2),
             ([run_record("q1", ["d"]), {**run_record("q2", ["d"]), "query_id": [1]}], 2),
+            ([{"query_id": "q1", "ranked_doc_ids": ["d1", "d3"]}], 1),
+            ([without(run_record("q1", ["d"]), "final_query")], 1),
+            ([{**run_record("q1", ["d"]), "final_query": 7}], 1),
+            ([without(run_record("q1", ["d"]), "stop_cause")], 1),
+            ([{**run_record("q1", ["d"]), "stop_cause": "bogus"}], 1),
+            ([without(run_record("q1", ["d"]), "steps")], 1),
+            ([without(run_record("q1", ["d"]), "output_tokens")], 1),
         ],
         ids=[
             "ranking-not-a-list",
@@ -347,6 +367,13 @@ class TestLoadRunRecords:
             "non-string-doc-id",
             "negative-counts",
             "list-query-id",
+            "ranking-only",
+            "missing-final-query",
+            "non-string-final-query",
+            "missing-stop-cause",
+            "unknown-stop-cause",
+            "missing-steps",
+            "missing-output-tokens",
         ],
     )
     def test_malformed_record_fails_eval_naming_line(self, tmp_path, capsys, records, lineno):
@@ -359,7 +386,7 @@ class TestLoadRunRecords:
 
 
 class TestBuildReport:
-    def qrels(self) -> Qrels:
+    def qrels(self) -> dict[str, dict[str, int]]:
         return parse_qrels(["q1 0 d1 2", "q1 0 d3 1", "q2 0 d9 0"])
 
     def test_perfect_query_scores_one_everywhere(self):
