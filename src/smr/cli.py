@@ -230,7 +230,7 @@ def cmd_index(args: argparse.Namespace) -> int:
     index = build_index(corpus)
     Path(args.out).parent.mkdir(parents=True, exist_ok=True)
     save_index(index, args.out)
-    print(f"indexed {index.doc_count} documents -> {args.out}")
+    print(f"indexed {len(index)} documents -> {args.out}")
     return 0
 
 
@@ -328,13 +328,11 @@ def cmd_inspect(args: argparse.Namespace) -> int:
     for record in found.transitions:
         print(
             f"\nstep {record['step']}  {record['action']}"
-            f"  temperature={record.get('temperature')}  output_tokens={record.get('output_tokens')}"
+            f"  temperature={record['temperature']}  output_tokens={record['output_tokens']}"
         )
-        print(f"  query: {record.get('query')}")
-        doc_ids = record.get("doc_ids")
-        docs = ", ".join(map(str, doc_ids)) if isinstance(doc_ids, list) else ""
-        print(f"  docs:  {docs or '(empty)'}")
-        if record.get("reason"):
+        print(f"  query: {record['query']}")
+        print(f"  docs:  {', '.join(record['doc_ids']) or '(empty)'}")
+        if record["reason"]:
             print(f"  reason: {record['reason']}")
     print(f"\ntotal output tokens: {summary['output_tokens']}")
     return 0

@@ -22,6 +22,8 @@ _QUERY_ID = frozenset({"query_id"})
 _ACTIONS = ("refine", "rerank", "stop")
 _STOP_CAUSES = tuple(cause.value for cause in StopCause)
 _STOP_CAUSE_LIST = ", ".join(_STOP_CAUSES)
+# The stop causes a query's last transition can end in, by whether it is a stop.
+_FINAL_CAUSES = {True: ("policy-stop", "policy-failure-fallback"), False: ("equivalence-stop", "step-cap")}
 
 
 @contextmanager
@@ -74,6 +76,11 @@ def _is_count(value: object) -> bool:
     return type(value) is int and value >= 0
 
 
+def _is_id_list(value: object) -> bool:
+    """A JSON list of distinct strings."""
+    return type(value) is list and all(type(v) is str for v in value) and len(set(value)) == len(value)
+
+
 # One encoder for every run and trace line; json.dumps with these options
 # would build a new one per call.
 _dump = json.JSONEncoder(ensure_ascii=False, separators=(",", ":")).encode
@@ -118,7 +125,7 @@ def read_run(lines: Iterable[str], name: str) -> list[dict]:
             ranked = record.get("ranked_doc_ids")
             if type(ranked) is not list:
                 raise CorpusError(f"{name}: line {lineno}: record needs an error or a ranked_doc_ids list")
-            if not all(type(doc_id) is str for doc_id in ranked) or len(set(ranked)) != len(ranked):
+            if not _is_id_list(ranked):
                 raise CorpusError(f"{name}: line {lineno}: ranked_doc_ids must be distinct strings")
             if type(record.get("final_query")) is not str:
                 raise CorpusError(f"{name}: line {lineno}: record needs a string final_query")
@@ -167,11 +174,10 @@ def emit_trace(result: TrajectoryResult, sink: TextIO) -> None:
 
 @dataclass
 class QueryTrace:
-    """One query's transition records, then its summary or error; advancing counts non-stop ones."""
+    """One query's transition records, then its summary or error."""
 
     query_id: str
     transitions: list[dict] = field(default_factory=list)
-    advancing: int = 0
     summary: dict | None = None
     error: str | None = None
 
@@ -182,10 +188,13 @@ def iter_traces(lines: Iterable[str], name: str) -> Iterator[QueryTrace]:
     Raises TraceFormatError naming the line for a query_id that is not a
     string or an integer, a record of no known shape, a bad action, a step
     that is not the transition's 1-based position in its query, a transition
-    after a stop, token or step counts that are not non-negative integers,
-    a summary with no transition before it or with an unknown stop_cause,
-    summary counts the transitions disagree with, or a record for a query
-    that already ended.
+    after one with a stop_cause, token or step counts that are not
+    non-negative integers, other transition fields not of the types
+    emit_trace writes, a stop_cause the transition's action cannot end in
+    (a stop must end in one), a summary with no transition before it or
+    with a stop_cause that is unknown or not its last transition's, summary
+    counts the transitions disagree with, or a record for a query that
+    already ended.
     """
     pending: dict[str, QueryTrace] = {}
     ended: set[str] = set()
@@ -204,8 +213,10 @@ def iter_traces(lines: Iterable[str], name: str) -> Iterator[QueryTrace]:
                 raise TraceFormatError(f"{name}: line {lineno}: unknown action {action!r}")
             if type(record.get("step")) is not int:
                 raise TraceFormatError(f"{name}: line {lineno}: transition needs an integer step")
-            if trace.transitions and trace.transitions[-1]["action"] == "stop":
-                raise TraceFormatError(f"{name}: line {lineno}: query {query_id!r} has a transition after its stop")
+            if trace.transitions and "stop_cause" in trace.transitions[-1]:
+                raise TraceFormatError(
+                    f"{name}: line {lineno}: query {query_id!r} has a transition after its final one"
+                )
             if record["step"] != len(trace.transitions) + 1:
                 raise TraceFormatError(
                     f"{name}: line {lineno}: query {query_id!r} step {record['step']} "
@@ -213,8 +224,19 @@ def iter_traces(lines: Iterable[str], name: str) -> Iterator[QueryTrace]:
                 )
             if not _is_count(record.get("output_tokens")):
                 raise TraceFormatError(f"{name}: line {lineno}: transition needs non-negative integer output_tokens")
+            if type(record.get("query")) is not str or not record["query"]:
+                raise TraceFormatError(f"{name}: line {lineno}: transition needs a non-empty string query")
+            if not _is_id_list(record.get("doc_ids")):
+                raise TraceFormatError(f"{name}: line {lineno}: transition needs doc_ids, a list of distinct strings")
+            if "reason" not in record or not (record["reason"] is None or type(record["reason"]) is str):
+                raise TraceFormatError(f"{name}: line {lineno}: transition needs a reason, a string or null")
+            temperature = record.get("temperature")
+            if type(temperature) not in (int, float) or not 0 <= temperature <= 1:
+                raise TraceFormatError(f"{name}: line {lineno}: transition needs a temperature, a number in [0, 1]")
+            cause, ends = record.get("stop_cause"), _FINAL_CAUSES[action == "stop"]
+            if (action == "stop" or cause is not None) and cause not in ends:
+                raise TraceFormatError(f"{name}: line {lineno}: a {action} ends in {' or '.join(ends)}, not {cause!r}")
             trace.transitions.append(record)
-            trace.advancing += action != "stop"
             continue
         elif "steps" in record:
             steps = record["steps"]
@@ -226,10 +248,15 @@ def iter_traces(lines: Iterable[str], name: str) -> Iterator[QueryTrace]:
                 raise TraceFormatError(f"{name}: line {lineno}: query {query_id!r} summary has no transition before it")
             if record.get("stop_cause") not in _STOP_CAUSES:
                 raise TraceFormatError(f"{name}: line {lineno}: summary needs a stop_cause, one of {_STOP_CAUSE_LIST}")
-            if steps != trace.advancing:
+            if record["stop_cause"] != trace.transitions[-1].get("stop_cause"):
                 raise TraceFormatError(
-                    f"{name}: line {lineno}: query {query_id!r} summary says {steps} steps, "
-                    f"trace shows {trace.advancing}"
+                    f"{name}: line {lineno}: query {query_id!r} summary's stop_cause is not its last transition's"
+                )
+            # Only the last transition can be a stop; the others advanced the state.
+            advancing = len(trace.transitions) - (trace.transitions[-1]["action"] == "stop")
+            if steps != advancing:
+                raise TraceFormatError(
+                    f"{name}: line {lineno}: query {query_id!r} summary says {steps} steps, trace shows {advancing}"
                 )
             tokens = sum(tr["output_tokens"] for tr in trace.transitions)
             if record["output_tokens"] != tokens:

@@ -1,7 +1,7 @@
 """Sparse and dense retrieval over an in-memory corpus.
 
 Sparse search is Okapi BM25 with every (term, document) weight computed
-once, when an index's postings are built, and kept in flat CSR arrays; dense
+once, when a Bm25Retriever is made, and kept in flat CSR arrays; dense
 search is cosine similarity over one matrix of externally supplied
 embeddings.  Both return ranked lists with deterministic tie-breaking
 (ascending doc_id) so repeat runs produce identical output.
@@ -10,7 +10,6 @@ embeddings.  Both return ranked lists with deterministic tie-breaking
 from __future__ import annotations
 
 import array
-import functools
 import itertools
 import json
 import math
@@ -86,7 +85,6 @@ class Postings:
     weights: np.ndarray
     ids: tuple[str, ...]
     rank: np.ndarray
-    avg_doc_length: float
 
 
 def _build_postings(doc_store: Mapping[str, Document]) -> Postings:
@@ -127,30 +125,12 @@ def _build_postings(doc_store: Mapping[str, Document]) -> Postings:
         weights=weights,
         ids=ids,
         rank=_sorted_rank(ids),
-        avg_doc_length=avg,
     )
 
 
-@dataclass(frozen=True, eq=False)
-class CorpusIndex:
-    """A fixed corpus for BM25 search: doc_store holds its documents in
-    corpus order, and postings is built from them on first use.  Only
-    build_index makes one, so doc_store is never empty."""
-
-    doc_store: dict[str, Document]
-
-    @property
-    def doc_count(self) -> int:
-        return len(self.doc_store)
-
-    @functools.cached_property
-    def postings(self) -> Postings:
-        return _build_postings(self.doc_store)
-
-
-def build_index(corpus: Iterable[Document]) -> CorpusIndex:
-    """Check the corpus (distinct doc_ids, at least one document); the
-    postings are left to CorpusIndex.postings."""
+def build_index(corpus: Iterable[Document]) -> dict[str, Document]:
+    """The corpus's documents by doc_id, in corpus order, checked: distinct
+    doc_ids, at least one document.  Bm25Retriever builds the postings."""
     doc_store: dict[str, Document] = {}
     for doc in corpus:
         if doc.doc_id in doc_store:
@@ -158,7 +138,7 @@ def build_index(corpus: Iterable[Document]) -> CorpusIndex:
         doc_store[doc.doc_id] = doc
     if not doc_store:
         raise CorpusError("corpus is empty")
-    return CorpusIndex(doc_store=doc_store)
+    return doc_store
 
 
 def _scores(postings: Postings, terms: Iterable[str]) -> np.ndarray:
@@ -178,21 +158,6 @@ def _scores(postings: Postings, terms: Iterable[str]) -> np.ndarray:
     doc_pos = np.concatenate([postings.doc_pos[a:b] for a, b in spans])
     weights = np.concatenate([postings.weights[a:b] for a, b in spans])
     return np.bincount(doc_pos, weights, minlength=len(postings.ids))
-
-
-def search(index: CorpusIndex, query: str, k: int) -> RankedList:
-    """Top-k BM25 results for a raw query string.
-
-    Only documents sharing at least one term with the query are scored;
-    zero-score documents never appear, so results may be shorter than k.
-    Ties break by ascending doc_id.
-    """
-    if k < 1:
-        raise ValueError("k must be >= 1")
-    postings = index.postings
-    scores = _scores(postings, tokenize(query))
-    hits = np.flatnonzero(scores > 0.0)
-    return RankedList(entries=_top_k(postings.ids, postings.rank, hits, scores[hits], k))
 
 
 @dataclass(frozen=True, eq=False)
@@ -315,15 +280,26 @@ class Retriever(Protocol):
 
 
 class Bm25Retriever:
-    def __init__(self, index: CorpusIndex):
-        # Build the postings now: run_batch's threads must not race a first
-        # build, and cached_property takes no lock from Python 3.12 on.
-        index.postings
-        self.index = index
-        self.doc_store: Mapping[str, Document] = index.doc_store
+    """BM25 search over a checked doc store, such as build_index returns;
+    the postings are built once, here."""
+
+    def __init__(self, doc_store: Mapping[str, Document]):
+        self.doc_store = doc_store
+        self.postings = _build_postings(doc_store)
 
     def search(self, query: str, k: int) -> RankedList:
-        return search(self.index, query, k)
+        """Top-k BM25 results for a raw query string.
+
+        Only documents sharing at least one term with the query are scored;
+        zero-score documents never appear, so results may be shorter than k.
+        Ties break by ascending doc_id.
+        """
+        if k < 1:
+            raise ValueError("k must be >= 1")
+        postings = self.postings
+        scores = _scores(postings, tokenize(query))
+        hits = np.flatnonzero(scores > 0.0)
+        return RankedList(entries=_top_k(postings.ids, postings.rank, hits, scores[hits], k))
 
 
 class DenseRetriever:
@@ -348,7 +324,7 @@ class DenseRetriever:
 
 # ---------------------------------------------------------------------------
 # File formats: JSON lines for corpora and embeddings; a saved index is JSON
-# holding its documents, and its postings are built when it is loaded.
+# holding its documents, and Bm25Retriever builds their postings.
 
 
 def _document(record: object, path: str, place: str, number: int) -> Document:
@@ -408,18 +384,18 @@ def load_dense_store(path: str, embed_endpoint: str | None = None) -> DenseStore
         raise CorpusError(f"{path}: {exc}") from exc
 
 
-def save_index(index: CorpusIndex, path: str) -> None:
+def save_index(doc_store: Mapping[str, Document], path: str) -> None:
     payload = {
         "format": _INDEX_FORMAT,
-        "docs": [{"doc_id": d.doc_id, "text": d.text} for d in index.doc_store.values()],
+        "docs": [{"doc_id": d.doc_id, "text": d.text} for d in doc_store.values()],
     }
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(json.dumps(payload, ensure_ascii=False, separators=(",", ":")) + "\n")
 
 
-def load_index(path: str) -> CorpusIndex:
-    """Index the documents an index file holds, with its postings built; the
-    postings entry of older files is ignored."""
+def load_index(path: str) -> dict[str, Document]:
+    """The documents an index file holds, checked as build_index checks
+    them; the postings entry of older files is ignored."""
     try:
         with open_input(path, "index", CorpusError) as fh:
             payload = json.load(fh)
@@ -432,10 +408,6 @@ def load_index(path: str) -> CorpusIndex:
         raise CorpusError(f"{path}: index file needs a docs list")
     docs = _documents(enumerate(entries, start=1), path, "docs entry")
     try:
-        index = build_index(docs)
+        return build_index(docs)
     except CorpusError as exc:
         raise CorpusError(f"{path}: {exc}") from None
-    # Build the postings here, in smr run's set-up, so their cost is paid and
-    # timed as loading, not hidden in the first query.
-    index.postings
-    return index

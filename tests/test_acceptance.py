@@ -23,7 +23,7 @@ from smr.engine import EngineConfig, run_batch, run_trajectory, write_trace_file
 from smr.evalx import analyze_traces, load_qrels, map_at_k, ndcg_at_k, recall_at_k
 from smr.llm import ScriptedBackend, count_fallback_tokens
 from smr.policy import PolicyConfig, decide
-from smr.retrieval import build_index, search
+from smr.retrieval import Bm25Retriever, build_index
 
 from conftest import DATA_DIR, refine_json, rerank_json, stop_json
 from oracles import (
@@ -186,22 +186,22 @@ def test_criterion_05_temperature_escalation(toy_retriever):
 
 
 def test_criterion_06_bm25_hand_evaluation():
-    index = build_index(
+    retriever = Bm25Retriever(build_index(
         [Document("d1", "a b"), Document("d2", "a a c"), Document("d3", "d")]
-    )
+    ))
     # written out in full: N=3, df(a)=2, avg length (2+3+1)/3 = 2
     idf_a = math.log(1.0 + (3 - 2 + 0.5) / (2 + 0.5))
     expected_d1 = idf_a * (1 * 2.2) / (1 + 1.2 * (1 - 0.75 + 0.75 * 2 / 2))
     expected_d2 = idf_a * (2 * 2.2) / (2 + 1.2 * (1 - 0.75 + 0.75 * 3 / 2))
-    assert abs(bm25_score(index, ["a"], "d1") - expected_d1) <= 1e-9
-    assert abs(bm25_score(index, ["a"], "d2") - expected_d2) <= 1e-9
-    assert bm25_score(index, ["a"], "d3") == 0.0
+    assert abs(bm25_score(retriever, ["a"], "d1") - expected_d1) <= 1e-9
+    assert abs(bm25_score(retriever, ["a"], "d2") - expected_d2) <= 1e-9
+    assert bm25_score(retriever, ["a"], "d3") == 0.0
 
-    ranked = search(index, "a", 10)
+    ranked = retriever.search("a", 10)
     assert ranked.entries == ("d2", "d1")  # d3 scores zero and is excluded
 
-    tie_index = build_index([Document(x, "same words here") for x in ("zz", "aa", "mm")])
-    assert search(tie_index, "same", 3).entries == ("aa", "mm", "zz")
+    tie_retriever = Bm25Retriever(build_index([Document(x, "same words here") for x in ("zz", "aa", "mm")]))
+    assert tie_retriever.search("same", 3).entries == ("aa", "mm", "zz")
     announce(6, "desk-corpus scores match the hand-evaluated formula within 1e-9")
 
 

@@ -537,6 +537,13 @@ class TestEvalCommand:
         assert capsys.readouterr().err == f"error: {kind} file not found: {absent}\n"
 
 
+STOP_TRANSITION = {
+    "query_id": "q1", "step": 1, "action": "stop", "query": "q", "doc_ids": ["d1", "d2"],
+    "reason": None, "output_tokens": 0, "temperature": 0.0, "stop_cause": "policy-stop",
+}
+STOP_SUMMARY = {"query_id": "q1", "steps": 0, "output_tokens": 0, "stop_cause": "policy-stop"}
+
+
 class TestInspectCommand:
     def test_pretty_prints_trajectory(self, tmp_path, capsys):
         out = completed_run(tmp_path)
@@ -569,19 +576,29 @@ class TestInspectCommand:
     @pytest.mark.parametrize(
         "records, lineno",
         [
-            (
-                [
-                    {"query_id": "q1", "step": 1, "action": "stop", "output_tokens": 0},
-                    {"query_id": "q1", "steps": 0, "output_tokens": 0, "stop_cause": "policy-stop"},
-                    "not json",
-                ],
-                3,
-            ),
+            ([STOP_TRANSITION, STOP_SUMMARY, "not json"], 3),
             ([{"query_id": "q1", "action": "stop"}], 1),
             ([{"query_id": "q1", "output_tokens": 1, "stop_cause": "policy-stop"}], 1),
             ([{"query_id": "q1", "steps": 0, "output_tokens": 0, "stop_cause": "bogus"}], 1),
+            ([{**STOP_TRANSITION, "query": 7, "doc_ids": "d1,d2", "temperature": "hot"}, STOP_SUMMARY], 1),
+            ([{**STOP_TRANSITION, "query": 7}, STOP_SUMMARY], 1),
+            ([{**STOP_TRANSITION, "doc_ids": "d1,d2"}, STOP_SUMMARY], 1),
+            ([{**STOP_TRANSITION, "temperature": "hot"}, STOP_SUMMARY], 1),
+            ([{**STOP_TRANSITION, "reason": 3}, STOP_SUMMARY], 1),
+            ([STOP_TRANSITION, {**STOP_SUMMARY, "stop_cause": "step-cap"}], 2),
         ],
-        ids=["invalid-json", "transition-without-step", "summary-without-steps", "bare-summary"],
+        ids=[
+            "invalid-json",
+            "transition-without-step",
+            "summary-without-steps",
+            "bare-summary",
+            "mistyped-transition",
+            "non-string-query",
+            "doc-ids-not-a-list",
+            "string-temperature",
+            "non-string-reason",
+            "summary-cause-disagrees",
+        ],
     )
     def test_malformed_line_names_file_and_line(self, tmp_path, capsys, records, lineno):
         trace = tmp_path / "trace.jsonl"

@@ -10,6 +10,8 @@ import time
 import weakref
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from smr.core import Action, StopCause, state_equivalent
 from smr.engine import (
@@ -24,6 +26,7 @@ from smr.engine import (
 from smr.errors import ConfigError
 from smr.llm import ChatRequest, ChatResponse, ScriptedBackend, count_fallback_tokens
 from smr.policy import PolicyConfig
+from smr.records import iter_traces
 
 from conftest import refine_json, rerank_json, stop_json
 
@@ -464,3 +467,55 @@ class TestEmission:
         stop_record = json.loads(sink.getvalue().splitlines()[0])
         assert stop_record["temperature"] == pytest.approx(0.2)
         assert stop_record["output_tokens"] == 2 + count_fallback_tokens(stop_json())
+
+
+# Replies that fail to parse, like the bench's malformed decisions.
+MALFORMED_REPLIES = (
+    "I would refine the query first.",
+    '{"action": "refine query."}',
+    '{"action": "re-rank", "reranked": []}',
+    '{"action": "refine query", "refined_query": ',
+    "",
+)
+WORDS = ("LLM", "large", "language", "model", "chess", "pasta", "zebra")
+DOC_IDS = ("d1", "d2", "d3", "d4", "d5", "d6", "zz")
+reasons = st.none() | st.sampled_from(("widen", "two\nlines", "Zoë's pick", ""))
+valid_replies = st.one_of(
+    st.builds(refine_json, st.lists(st.sampled_from(WORDS), min_size=1, max_size=3).map(" ".join), reasons),
+    # Unknown ids (zz) and repeats are dropped or re-appended by sanitize.
+    st.builds(rerank_json, st.lists(st.sampled_from(DOC_IDS), min_size=1, max_size=8), reasons),
+    st.just(stop_json()),
+)
+# Malformed replies come in runs, so a decision often spends every attempt
+# up to max_attempts and reaches the top temperature or the fallback stop.
+malformed_runs = st.lists(st.sampled_from(MALFORMED_REPLIES), min_size=1, max_size=4)
+reply_scripts = st.lists(st.one_of(valid_replies.map(lambda reply: [reply]), malformed_runs), max_size=8).map(
+    lambda runs: [reply for run in runs for reply in run]
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    query=st.sampled_from(("what is an LLM", "garlic pasta", "zebra")),
+    script=reply_scripts,
+    max_steps=st.integers(min_value=1, max_value=4),
+    max_attempts=st.integers(min_value=1, max_value=4),
+)
+def test_trace_reader_reads_back_what_the_engine_writes(toy_retriever, query, script, max_steps, max_attempts):
+    """Whatever the replies, emit_trace's output loads through iter_traces
+    with the trajectory's actions, step count, token total and stop cause.
+
+    A trailing stop reply keeps the script from running out.
+    """
+    config = EngineConfig(k=3, max_steps=max_steps, max_list_size=5, policy=PolicyConfig(max_attempts=max_attempts))
+    trajectory = run_trajectory(query, toy_retriever, ScriptedBackend([*script, stop_json()]), config)
+    sink = io.StringIO()
+    emit_trace(TrajectoryResult("q1", query, trajectory=trajectory), sink)
+    [trace] = iter_traces(sink.getvalue().splitlines(), "trace")
+    assert [r["action"] for r in trace.transitions] == [t.decision.action.value for t in trajectory.transitions]
+    assert trace.summary == {
+        "query_id": "q1",
+        "steps": trajectory.step_count,
+        "output_tokens": trajectory.total_output_tokens,
+        "stop_cause": trajectory.stop_cause.value,
+    }

@@ -161,8 +161,17 @@ class TestQrels:
         assert load_qrels(str(path)) == {"q1": {"d1": 2, "d3": 1}}
 
 
-def transition_line(query_id: str, step: int, action: str, tokens: int = 0) -> str:
-    return json.dumps({"query_id": query_id, "step": step, "action": action, "output_tokens": tokens})
+def transition_line(
+    query_id: str, step: int, action: str, tokens: int = 0, cause: str | None = None, **fields: object
+) -> str:
+    """A transition shaped as emit_trace writes it, with cause as its stop_cause; fields override the rest."""
+    record = {
+        "query_id": query_id, "step": step, "action": action, "query": "q", "doc_ids": ["d1", "d2"],
+        "reason": None, "output_tokens": tokens, "temperature": 0.0, **fields,
+    }
+    if cause is not None:
+        record["stop_cause"] = cause
+    return json.dumps(record)
 
 
 def summary_line(query_id: str, steps: int, tokens: int, cause: str = "policy-stop") -> str:
@@ -172,13 +181,15 @@ def summary_line(query_id: str, steps: int, tokens: int, cause: str = "policy-st
 
 
 def trace_for(query_id: str, actions: list[str], tokens: int) -> list[str]:
-    """A query's trace; its last transition carries all the summary's tokens."""
+    """A query's trace; its last transition carries all the summary's tokens
+    and the stop cause, policy-stop after a stop and step-cap otherwise."""
+    cause = "policy-stop" if actions[-1] == "stop" else "step-cap"
     lines = [
-        transition_line(query_id, i, a, tokens if i == len(actions) else 0)
+        transition_line(query_id, i, a, tokens, cause) if i == len(actions) else transition_line(query_id, i, a)
         for i, a in enumerate(actions, start=1)
     ]
     advancing = sum(1 for a in actions if a != "stop")
-    lines.append(summary_line(query_id, advancing, tokens))
+    lines.append(summary_line(query_id, advancing, tokens, cause))
     return lines
 
 
@@ -211,7 +222,7 @@ class TestAnalyzeTraces:
 
     def test_invalid_json_names_line(self):
         with pytest.raises(TraceFormatError, match=r"line 3"):
-            analyze_traces([transition_line("a", 1, "stop"), summary_line("a", 0, 0), "{oops"])
+            analyze_traces([*trace_for("a", ["stop"], 0), "{oops"])
 
     def test_record_without_query_id_rejected(self):
         with pytest.raises(TraceFormatError, match="query_id"):
@@ -224,8 +235,8 @@ class TestAnalyzeTraces:
     def test_summary_step_count_cross_checked(self):
         lines = [
             transition_line("a", 1, "refine"),
-            transition_line("a", 2, "refine"),
-            summary_line("a", 5, 10),
+            transition_line("a", 2, "refine", cause="step-cap"),
+            summary_line("a", 5, 0, cause="step-cap"),
         ]
         with pytest.raises(TraceFormatError, match="summary says 5 steps, trace shows 2"):
             analyze_traces(lines)
@@ -251,7 +262,7 @@ class TestAnalyzeTraces:
             ),
             (trace_for("a", ["stop"], 1) + trace_for("a", ["stop"], 1), "line 3: query 'a' already ended"),
             (
-                [transition_line("a", 1, "stop"), summary_line("a", 0, -7)],
+                [transition_line("a", 1, "stop", cause="policy-stop"), summary_line("a", 0, -7)],
                 "line 2: summary needs non-negative integer steps and output_tokens",
             ),
             (
@@ -259,11 +270,11 @@ class TestAnalyzeTraces:
                 "line 1: query_id must be a string or an integer",
             ),
             (
-                [transition_line("a", 1, "refine", -50), summary_line("a", 1, 3)],
+                [transition_line("a", 1, "refine", -50, "step-cap"), summary_line("a", 1, 0, "step-cap")],
                 "line 1: transition needs non-negative integer output_tokens",
             ),
             (
-                [transition_line("a", 1, "refine"), summary_line("a", 1, 3)],
+                [transition_line("a", 1, "refine", cause="step-cap"), summary_line("a", 1, 3, "step-cap")],
                 "line 2: query 'a' summary says 3 output_tokens, trace shows 0",
             ),
             (
@@ -271,21 +282,100 @@ class TestAnalyzeTraces:
                 "line 1: query 'a' step 7 should be 1",
             ),
             (
-                [transition_line("a", 1, "refine"), transition_line("a", 3, "refine"), summary_line("a", 2, 0)],
+                [
+                    transition_line("a", 1, "refine"),
+                    transition_line("a", 3, "refine", cause="step-cap"),
+                    summary_line("a", 2, 0, "step-cap"),
+                ],
                 "line 2: query 'a' step 3 should be 2",
             ),
             (
-                [transition_line("a", 1, "stop"), transition_line("a", 2, "refine"), summary_line("a", 1, 0)],
-                "line 2: query 'a' has a transition after its stop",
+                [
+                    transition_line("a", 1, "stop", cause="policy-stop"),
+                    transition_line("a", 2, "refine", cause="step-cap"),
+                    summary_line("a", 1, 0, "step-cap"),
+                ],
+                "line 2: query 'a' has a transition after its final one",
             ),
             (
                 [summary_line("a", 0, 0)],
                 "line 1: query 'a' summary has no transition before it",
             ),
             (
-                [transition_line("a", 1, "stop"), summary_line("a", 0, 0, cause="bogus")],
+                [transition_line("a", 1, "stop", cause="policy-stop"), summary_line("a", 0, 0, cause="bogus")],
                 "line 2: summary needs a stop_cause, one of policy-stop, equivalence-stop, "
                 "step-cap, policy-failure-fallback",
+            ),
+            (
+                [transition_line("a", 1, "stop", cause="policy-stop"), summary_line("a", 0, 0, cause="step-cap")],
+                "line 2: query 'a' summary's stop_cause is not its last transition's",
+            ),
+            (
+                [transition_line("a", 1, "refine", cause="policy-stop"), summary_line("a", 1, 0)],
+                "line 1: a refine ends in equivalence-stop or step-cap, not 'policy-stop'",
+            ),
+            (
+                [transition_line("a", 1, "rerank"), summary_line("a", 1, 0, cause="equivalence-stop")],
+                "line 2: query 'a' summary's stop_cause is not its last transition's",
+            ),
+            (
+                [transition_line("a", 1, "stop"), summary_line("a", 0, 0)],
+                "line 1: a stop ends in policy-stop or policy-failure-fallback, not None",
+            ),
+            (
+                [
+                    transition_line("a", 1, "refine", cause="step-cap"),
+                    transition_line("a", 2, "refine", cause="step-cap"),
+                    summary_line("a", 2, 0, "step-cap"),
+                ],
+                "line 2: query 'a' has a transition after its final one",
+            ),
+            (
+                [
+                    transition_line("a", 1, "stop", cause="equivalence-stop"),
+                    summary_line("a", 0, 0, "equivalence-stop"),
+                ],
+                "line 1: a stop ends in policy-stop or policy-failure-fallback, not 'equivalence-stop'",
+            ),
+            (
+                [transition_line("a", 1, "stop", cause="bogus"), summary_line("a", 0, 0, "policy-stop")],
+                "line 1: a stop ends in policy-stop or policy-failure-fallback, not 'bogus'",
+            ),
+            (
+                [transition_line("a", 1, "stop", cause="policy-stop", query=7), summary_line("a", 0, 0)],
+                "line 1: transition needs a non-empty string query",
+            ),
+            (
+                [transition_line("a", 1, "stop", cause="policy-stop", query=""), summary_line("a", 0, 0)],
+                "line 1: transition needs a non-empty string query",
+            ),
+            (
+                [transition_line("a", 1, "stop", cause="policy-stop", doc_ids="d1,d2"), summary_line("a", 0, 0)],
+                "line 1: transition needs doc_ids, a list of distinct strings",
+            ),
+            (
+                [transition_line("a", 1, "stop", cause="policy-stop", doc_ids=["d1", 2]), summary_line("a", 0, 0)],
+                "line 1: transition needs doc_ids, a list of distinct strings",
+            ),
+            (
+                [transition_line("a", 1, "stop", cause="policy-stop", doc_ids=["d1", "d1"]), summary_line("a", 0, 0)],
+                "line 1: transition needs doc_ids, a list of distinct strings",
+            ),
+            (
+                [transition_line("a", 1, "stop", cause="policy-stop", reason=["why"]), summary_line("a", 0, 0)],
+                "line 1: transition needs a reason, a string or null",
+            ),
+            (
+                [transition_line("a", 1, "stop", cause="policy-stop", temperature="hot"), summary_line("a", 0, 0)],
+                "line 1: transition needs a temperature, a number in \\[0, 1\\]",
+            ),
+            (
+                [transition_line("a", 1, "stop", cause="policy-stop", temperature=True), summary_line("a", 0, 0)],
+                "line 1: transition needs a temperature, a number in \\[0, 1\\]",
+            ),
+            (
+                [transition_line("a", 1, "stop", cause="policy-stop", temperature=1.5), summary_line("a", 0, 0)],
+                "line 1: transition needs a temperature, a number in \\[0, 1\\]",
             ),
         ],
         ids=[
@@ -300,6 +390,22 @@ class TestAnalyzeTraces:
             "transition-after-stop",
             "summary-without-transitions",
             "unknown-stop-cause",
+            "stop-then-step-cap-summary",
+            "refine-ending-in-policy-stop",
+            "summary-cause-without-final-cause",
+            "final-transition-without-stop-cause",
+            "stop-cause-before-last-transition",
+            "stop-ending-in-equivalence-stop",
+            "unknown-transition-stop-cause",
+            "non-string-query",
+            "empty-query",
+            "doc-ids-not-a-list",
+            "non-string-doc-id",
+            "repeated-doc-id",
+            "non-string-reason",
+            "string-temperature",
+            "boolean-temperature",
+            "temperature-above-one",
         ],
     )
     def test_malformed_trace_names_file_and_line(self, lines, message):

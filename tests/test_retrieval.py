@@ -23,7 +23,6 @@ from smr.retrieval import (
     load_dense_store,
     load_index,
     save_index,
-    search,
     tokenize,
 )
 
@@ -43,10 +42,18 @@ def docs_from(texts: dict[str, str]) -> list[Document]:
     return [Document(doc_id=doc_id, text=text) for doc_id, text in texts.items()]
 
 
-def assert_csr_matches_reference(index, texts: dict[str, str]) -> None:
-    """The index's arrays equal reference_csr's bit for bit, dtypes and vocabulary order included."""
+def bm25(texts: dict[str, str]) -> Bm25Retriever:
+    return Bm25Retriever(build_index(docs_from(texts)))
+
+
+def mean_length(texts: dict[str, str]) -> float:
+    return sum(len(oracle_tokenize(text)) for text in texts.values()) / len(texts)
+
+
+def assert_csr_matches_reference(retriever: Bm25Retriever, texts: dict[str, str]) -> None:
+    """The retriever's arrays equal reference_csr's bit for bit, dtypes and vocabulary order included."""
     vocabulary, indptr, doc_pos, weights = reference_csr({k: oracle_tokenize(v) for k, v in texts.items()})
-    postings = index.postings
+    postings = retriever.postings
     assert list(postings.vocabulary.items()) == list(vocabulary.items())
     for got, want in ((postings.indptr, indptr), (postings.doc_pos, doc_pos), (postings.weights, weights)):
         assert got.dtype == want.dtype
@@ -106,10 +113,12 @@ class TestTokenize:
 
 class TestBuildIndex:
     def test_statistics(self):
-        index = build_index(docs_from({"a": "x y", "b": "x y z w", "c": "p q r s t u"}))
-        assert index.doc_count == 3
-        assert index.postings.avg_doc_length == pytest.approx(4.0)
-        assert_csr_matches_reference(index, {"a": "x y", "b": "x y z w", "c": "p q r s t u"})
+        texts = {"a": "x y", "b": "x y z w", "c": "p q r s t u"}
+        doc_store = build_index(docs_from(texts))
+        assert list(doc_store) == ["a", "b", "c"]
+        assert mean_length(texts) == 4.0
+        # The weights depend on the mean length, so this pins it too.
+        assert_csr_matches_reference(Bm25Retriever(doc_store), texts)
 
     def test_duplicate_doc_id_named_in_error(self):
         with pytest.raises(CorpusError, match="dup1"):
@@ -120,23 +129,22 @@ class TestBuildIndex:
             build_index([])
 
     def test_zero_token_document_allowed(self):
-        index = build_index(docs_from({"a": "...", "b": "word"}))
-        assert index.postings.avg_doc_length == 0.5
-        assert index.postings.doc_pos.tolist() == [1]
-        assert_csr_matches_reference(index, {"a": "...", "b": "word"})
+        retriever = bm25({"a": "...", "b": "word"})
+        assert retriever.postings.doc_pos.tolist() == [1]
+        assert_csr_matches_reference(retriever, {"a": "...", "b": "word"})
 
     def test_postings_carry_term_frequencies(self):
-        index = build_index(docs_from({"a": "x x y", "b": "x"}))
-        postings = index.postings
+        retriever = bm25({"a": "x x y", "b": "x"})
+        postings = retriever.postings
         row = postings.vocabulary["x"]
         assert postings.doc_pos[postings.indptr[row]:postings.indptr[row + 1]].tolist() == [0, 1]
         # reference_csr derives the weights from the tfs 2 and 1.
-        assert_csr_matches_reference(index, {"a": "x x y", "b": "x"})
+        assert_csr_matches_reference(retriever, {"a": "x x y", "b": "x"})
 
     def test_mixed_case_document_found_by_mixed_case_query(self):
-        index = build_index(docs_from({"d1": "Apple pie", "d2": "banana split"}))
-        assert search(index, "Apple", 5).entries == ("d1",)
-        assert search(index, "PIE and APPLE", 5).entries == ("d1",)
+        retriever = bm25({"d1": "Apple pie", "d2": "banana split"})
+        assert retriever.search("Apple", 5).entries == ("d1",)
+        assert retriever.search("PIE and APPLE", 5).entries == ("d1",)
         # Documents and queries share one tokenizer: build_index takes no other.
         with pytest.raises(TypeError):
             build_index(docs_from({"d1": "Apple pie"}), tokenizer=str.split)
@@ -147,35 +155,35 @@ class TestBm25Score:
         # d1 holds one of two 'a' postings; its length equals the average,
         # so the normalizer is exactly k1 + 1 and the score reduces to the
         # bare idf: ln(1 + (3 - 2 + 0.5) / (2 + 0.5)) = ln(1.6).
-        index = build_index(docs_from({"d1": "a b", "d2": "a a c", "d3": "d"}))
+        retriever = bm25({"d1": "a b", "d2": "a a c", "d3": "d"})
         expected_d1 = math.log(1.6)
         # d2: tf=2, length 3, avg 2: 2*2.2 / (2 + 1.2*(0.25 + 0.75*1.5)) = 4.4/3.65
         expected_d2 = math.log(1.6) * 4.4 / 3.65
-        assert bm25_score(index, ["a"], "d1") == pytest.approx(expected_d1, abs=1e-9)
-        assert bm25_score(index, ["a"], "d2") == pytest.approx(expected_d2, abs=1e-9)
-        assert bm25_score(index, ["a"], "d3") == 0.0
+        assert bm25_score(retriever, ["a"], "d1") == pytest.approx(expected_d1, abs=1e-9)
+        assert bm25_score(retriever, ["a"], "d2") == pytest.approx(expected_d2, abs=1e-9)
+        assert bm25_score(retriever, ["a"], "d3") == 0.0
 
     def test_agrees_with_oracle(self):
         texts = {"d1": "a b", "d2": "a a c", "d3": "d"}
-        index = build_index(docs_from(texts))
+        retriever = bm25(texts)
         oracle = oracle_bm25_scores({k: oracle_tokenize(v) for k, v in texts.items()}, ["a"])
         for doc_id in texts:
-            assert bm25_score(index, ["a"], doc_id) == pytest.approx(oracle[doc_id], abs=1e-9)
+            assert bm25_score(retriever, ["a"], doc_id) == pytest.approx(oracle[doc_id], abs=1e-9)
 
     def test_unknown_doc_id(self):
-        index = build_index(docs_from({"d1": "a"}))
+        retriever = bm25({"d1": "a"})
         with pytest.raises(UnknownDocumentError, match="nope"):
-            bm25_score(index, ["a"], "nope")
+            bm25_score(retriever, ["a"], "nope")
 
     def test_unseen_term_contributes_zero(self):
-        index = build_index(docs_from({"d1": "a b", "d2": "c"}))
-        base = bm25_score(index, ["a"], "d1")
-        assert bm25_score(index, ["a", "zzz"], "d1") == pytest.approx(base)
+        retriever = bm25({"d1": "a b", "d2": "c"})
+        base = bm25_score(retriever, ["a"], "d1")
+        assert bm25_score(retriever, ["a", "zzz"], "d1") == pytest.approx(base)
 
     def test_repeated_query_terms_accumulate(self):
-        index = build_index(docs_from({"d1": "a b", "d2": "c"}))
-        single = bm25_score(index, ["a"], "d1")
-        double = bm25_score(index, ["a", "a"], "d1")
+        retriever = bm25({"d1": "a b", "d2": "c"})
+        single = bm25_score(retriever, ["a"], "d1")
+        double = bm25_score(retriever, ["a", "a"], "d1")
         assert double == pytest.approx(2 * single)
 
 
@@ -188,38 +196,38 @@ class TestSearch:
             "d4": "fig grape",
             "d5": "apple apple apple banana",
         }
-        index = build_index(docs_from(texts))
+        retriever = bm25(texts)
         expected = oracle_bm25_ranking(
             {k: oracle_tokenize(v) for k, v in texts.items()}, ["apple", "banana"], 10
         )
-        assert list(search(index, "apple banana", 10).entries) == expected
+        assert list(retriever.search("apple banana", 10).entries) == expected
 
     def test_zero_score_documents_excluded(self):
-        index = build_index(docs_from({"d1": "apple", "d2": "banana", "d3": "cherry"}))
-        assert list(search(index, "apple", 10).entries) == ["d1"]
+        retriever = bm25({"d1": "apple", "d2": "banana", "d3": "cherry"})
+        assert list(retriever.search("apple", 10).entries) == ["d1"]
 
     def test_no_padding_when_fewer_matches_than_k(self):
-        index = build_index(docs_from({"d1": "apple", "d2": "banana"}))
-        result = search(index, "apple", 5)
+        retriever = bm25({"d1": "apple", "d2": "banana"})
+        result = retriever.search("apple", 5)
         assert len(result) == 1
 
     def test_ties_break_by_ascending_doc_id(self):
-        index = build_index(docs_from({"zz": "same text", "aa": "same text", "mm": "same text"}))
-        assert list(search(index, "same", 10).entries) == ["aa", "mm", "zz"]
+        retriever = bm25({"zz": "same text", "aa": "same text", "mm": "same text"})
+        assert list(retriever.search("same", 10).entries) == ["aa", "mm", "zz"]
 
     def test_k_limits_results(self):
         texts = {f"d{i}": "common word" + " filler" * i for i in range(8)}
-        index = build_index(docs_from(texts))
-        assert len(search(index, "common", 3)) == 3
+        retriever = bm25(texts)
+        assert len(retriever.search("common", 3)) == 3
 
     def test_k_must_be_positive(self):
-        index = build_index(docs_from({"d1": "a"}))
+        retriever = bm25({"d1": "a"})
         with pytest.raises(ValueError):
-            search(index, "a", 0)
+            retriever.search("a", 0)
 
     def test_no_match_returns_empty(self):
-        index = build_index(docs_from({"d1": "apple"}))
-        assert list(search(index, "zebra", 4).entries) == []
+        retriever = bm25({"d1": "apple"})
+        assert list(retriever.search("zebra", 4).entries) == []
 
 
 @st.composite
@@ -239,10 +247,10 @@ def corpus_and_term(draw):
 def test_membership_unchanged_by_term_free_document(data, extra_len):
     """Adding a doc without the query term never changes which prior docs match."""
     texts, term = data
-    before = search(build_index(docs_from(texts)), term, 50)
+    before = bm25(texts).search(term, 50)
     grown = dict(texts)
     grown["zzz-new"] = " ".join(["qq"] * extra_len)
-    after = search(build_index(docs_from(grown)), term, 50)
+    after = bm25(grown).search(term, 50)
     assert set(before.entries) == set(after.entries) - {"zzz-new"}
     assert "zzz-new" not in after.entries  # it cannot match the term
 
@@ -257,14 +265,13 @@ def test_order_preserved_when_added_doc_keeps_average_length(data):
     order among prior docs must be identical.
     """
     texts, term = data
-    index_before = build_index(docs_from(texts))
-    avg = index_before.postings.avg_doc_length
+    avg = mean_length(texts)
     if avg != int(avg) or int(avg) == 0:
         return  # only integral averages can be preserved exactly by one doc
-    before = search(index_before, term, 50)
+    before = bm25(texts).search(term, 50)
     grown = dict(texts)
     grown["zzz-new"] = " ".join(["qq"] * int(avg))
-    after = search(build_index(docs_from(grown)), term, 50)
+    after = bm25(grown).search(term, 50)
     assert list(before.entries) == [d for d in after.entries if d != "zzz-new"]
 
 
@@ -297,18 +304,18 @@ def shuffled_corpus_and_query(draw):
 @given(shuffled_corpus_and_query())
 def test_scores_bit_identical_to_posting_walk_and_ranking_to_oracle(data):
     texts, query = data
-    index = build_index(docs_from(texts))
+    retriever = bm25(texts)
     doc_tokens = {doc_id: oracle_tokenize(text) for doc_id, text in texts.items()}
     reference = reference_bm25_sums(doc_tokens, query)
     for doc_id in texts:
-        assert bm25_score(index, query, doc_id) == reference.get(doc_id, 0.0)
+        assert bm25_score(retriever, query, doc_id) == reference.get(doc_id, 0.0)
     exact = sorted(reference, key=lambda d: (-reference[d], d))
     noisy = _near_tie(
         oracle_bm25_scores(doc_tokens, query),
         lambda d: (len(doc_tokens[d]), tuple(doc_tokens[d].count(term) for term in query)),
     )
     for k in sorted({1, 3, len(texts)}):
-        ranked = list(search(index, " ".join(query), k).entries)
+        ranked = list(retriever.search(" ".join(query), k).entries)
         assert ranked == exact[:k]
         if not noisy:
             assert ranked == oracle_bm25_ranking(doc_tokens, query, k)
@@ -327,7 +334,7 @@ def mixed_corpus(draw):
 @settings(max_examples=200)
 @given(mixed_corpus())
 def test_index_arrays_bit_identical_to_reference_csr(texts):
-    assert_csr_matches_reference(build_index(docs_from(texts)), texts)
+    assert_csr_matches_reference(bm25(texts), texts)
 
 
 class TestDense:
@@ -556,20 +563,19 @@ class TestLoaders:
 
     def test_index_save_load_round_trip(self, tmp_path):
         texts = {"d1": "apple banana", "d2": "banana cherry", "d3": "date"}
-        index = build_index(docs_from(texts))
         path = tmp_path / "index.json"
-        save_index(index, str(path))
-        loaded = load_index(str(path))
+        save_index(build_index(docs_from(texts)), str(path))
+        loaded = Bm25Retriever(load_index(str(path)))
         assert_csr_matches_reference(loaded, texts)
-        assert_csr_matches_reference(index, texts)
-        assert loaded.postings.avg_doc_length == pytest.approx(index.postings.avg_doc_length)
-        assert list(search(loaded, "banana", 10).entries) == list(search(index, "banana", 10).entries)
+        assert list(loaded.search("banana", 10).entries) == list(bm25(texts).search("banana", 10).entries)
 
-    def test_postings_built_at_load_only(self, tmp_path):
-        index = build_index(docs_from({"d1": "apple", "d2": "banana"}))
-        save_index(index, str(tmp_path / "index.json"))
-        assert "postings" not in vars(index)
-        assert "postings" in vars(load_index(str(tmp_path / "index.json")))
+    def test_load_index_returns_build_index_documents(self, tmp_path):
+        built = build_index(docs_from({"d3": "date", "d1": 'say "hi"\nto Zoë', "d2": ""}))
+        path = tmp_path / "index.json"
+        save_index(built, str(path))
+        loaded = load_index(str(path))
+        assert loaded == built
+        assert list(loaded) == ["d3", "d1", "d2"]
 
     @pytest.mark.parametrize(
         "loader, kind",
@@ -608,12 +614,11 @@ class TestLoaders:
             "postings": {"banana": [["d1", 9], ["d3", 4]], "apple": [["d1", 1]], "date": [["d3", 1]]},
             "doc_lengths": {"d1": 2, "d2": 2, "d3": 7},
         }))
-        loaded = load_index(str(path))
-        built = build_index(docs_from(texts))
+        loaded = Bm25Retriever(load_index(str(path)))
+        built = bm25(texts)
         assert_csr_matches_reference(loaded, texts)
-        assert_csr_matches_reference(built, texts)
         for query in ("banana", "apple banana cherry", "date cherry"):
-            assert search(loaded, query, 10).entries == search(built, query, 10).entries
+            assert loaded.search(query, 10).entries == built.search(query, 10).entries
 
     @pytest.mark.parametrize(
         "docs, message",
@@ -637,15 +642,9 @@ class TestLoaders:
 
 class TestRetrieverAdapters:
     def test_bm25_adapter(self):
-        index = build_index(docs_from({"d1": "apple", "d2": "banana"}))
-        retriever = Bm25Retriever(index)
+        retriever = bm25({"d1": "apple", "d2": "banana"})
         assert list(retriever.search("apple", 5).entries) == ["d1"]
         assert retriever.doc_store["d2"].text == "banana"
-
-    def test_bm25_adapter_builds_postings(self):
-        index = build_index(docs_from({"d1": "apple", "d2": "banana"}))
-        Bm25Retriever(index)
-        assert "postings" in vars(index)
 
     def test_dense_adapter_embeds_queries(self):
         store = build_dense_store([("d1", [1.0, 0.0]), ("d2", [0.0, 1.0])])
