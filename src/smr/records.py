@@ -81,8 +81,8 @@ def _is_id_list(value: object) -> bool:
     return type(value) is list and all(type(v) is str for v in value) and len(set(value)) == len(value)
 
 
-# One encoder for every run and trace line; json.dumps with these options
-# would build a new one per call.
+# One encoder for every run, trace and index line; json.dumps with these
+# options would build a new one per call.
 _dump = json.JSONEncoder(ensure_ascii=False, separators=(",", ":")).encode
 
 

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import array
 import itertools
-import json
 import math
 import re
 from collections import defaultdict
@@ -22,7 +21,7 @@ import numpy as np
 
 from .core import Document, RankedList
 from .errors import CorpusError
-from .records import iter_jsonl, open_input
+from .records import _dump, iter_jsonl, open_input
 
 BM25_K1 = 1.2
 BM25_B = 0.75
@@ -32,8 +31,6 @@ _TOKEN_RE = re.compile(r"[^\W_]+")
 # Byte b to itself if it is an ASCII letter or digit, else to a space.  On
 # ASCII text, _TOKEN_RE's runs are exactly the runs of those bytes.
 _ASCII_SEPARATORS = bytes(b if b < 128 and chr(b).isalnum() else 0x20 for b in range(256))
-
-_INDEX_FORMAT = "smr-index-v1"
 
 
 def tokenize(text: str) -> list[str]:
@@ -89,6 +86,8 @@ class Postings:
 
 def _build_postings(doc_store: Mapping[str, Document]) -> Postings:
     n = len(doc_store)
+    if not n:
+        raise CorpusError("corpus is empty")
     lengths: list[int] = []
     # Terms are numbered in order of first occurrence; rows holds every
     # token's term number, document after document.
@@ -323,43 +322,31 @@ class DenseRetriever:
 
 
 # ---------------------------------------------------------------------------
-# File formats: JSON lines for corpora and embeddings; a saved index is JSON
-# holding its documents, and Bm25Retriever builds their postings.
+# File formats: JSON lines for corpora and embeddings.  A saved index is a
+# corpus file, and Bm25Retriever builds its postings.
 
 
-def _document(record: object, path: str, place: str, number: int) -> Document:
-    """A {"doc_id": str, "text": str} record as a Document; a bad one raises
-    CorpusError naming the file and the record's place in it."""
-    if isinstance(record, dict):
-        doc_id, text = record.get("doc_id"), record.get("text")
-        if isinstance(doc_id, str) and isinstance(text, str):
-            try:
-                return Document(doc_id=doc_id, text=text)
-            except ValueError as exc:
-                raise CorpusError(f"{path}: {place} {number}: {exc}") from None
-    raise CorpusError(f"{path}: {place} {number}: doc_id and text must be strings")
-
-
-def _documents(records: Iterable[tuple[int, object]], path: str, place: str) -> list[Document]:
-    """Numbered records as Documents, checked by _document; a repeated doc_id
-    raises CorpusError naming the file and the record's place too."""
+def load_corpus(path: str, kind: str = "corpus") -> list[Document]:
+    """Read a JSONL file of {"doc_id": str, "text": str} records, such as a
+    corpus or an index file; kind names the file in its messages.  A bad
+    record or a repeated doc_id raises CorpusError naming file and line."""
     docs: list[Document] = []
     seen: set[str] = set()
-    for number, record in records:
-        doc = _document(record, path, place, number)
-        if doc.doc_id in seen:
-            raise CorpusError(f"{path}: {place} {number}: duplicate doc_id {doc.doc_id!r}")
-        seen.add(doc.doc_id)
-        docs.append(doc)
-    return docs
-
-
-def load_corpus(path: str) -> list[Document]:
-    """Read a JSONL corpus of {"doc_id": ..., "text": ...} records."""
-    with open_input(path, "corpus", CorpusError) as fh:
-        docs = _documents(iter_jsonl(fh, path, CorpusError, frozenset({"doc_id", "text"})), path, "line")
+    with open_input(path, kind, CorpusError) as fh:
+        for lineno, record in iter_jsonl(fh, path, CorpusError, frozenset({"doc_id", "text"})):
+            doc_id, text = record["doc_id"], record["text"]
+            if not isinstance(doc_id, str) or not isinstance(text, str):
+                raise CorpusError(f"{path}: line {lineno}: doc_id and text must be strings")
+            try:
+                doc = Document(doc_id=doc_id, text=text)
+            except ValueError as exc:
+                raise CorpusError(f"{path}: line {lineno}: {exc}") from None
+            if doc_id in seen:
+                raise CorpusError(f"{path}: line {lineno}: duplicate doc_id {doc_id!r}")
+            seen.add(doc_id)
+            docs.append(doc)
     if not docs:
-        raise CorpusError(f"{path}: corpus file contains no documents")
+        raise CorpusError(f"{path}: {kind} file contains no documents")
     return docs
 
 
@@ -385,29 +372,12 @@ def load_dense_store(path: str, embed_endpoint: str | None = None) -> DenseStore
 
 
 def save_index(doc_store: Mapping[str, Document], path: str) -> None:
-    payload = {
-        "format": _INDEX_FORMAT,
-        "docs": [{"doc_id": d.doc_id, "text": d.text} for d in doc_store.values()],
-    }
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(json.dumps(payload, ensure_ascii=False, separators=(",", ":")) + "\n")
+    """Write the documents as corpus lines, in doc_store order, encoded as
+    run and trace lines are."""
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        fh.write("".join(_dump({"doc_id": d.doc_id, "text": d.text}) + "\n" for d in doc_store.values()))
 
 
 def load_index(path: str) -> dict[str, Document]:
-    """The documents an index file holds, checked as build_index checks
-    them; the postings entry of older files is ignored."""
-    try:
-        with open_input(path, "index", CorpusError) as fh:
-            payload = json.load(fh)
-    except json.JSONDecodeError as exc:
-        raise CorpusError(f"{path}: not a valid index file ({exc.msg})") from exc
-    if not isinstance(payload, dict) or payload.get("format") != _INDEX_FORMAT:
-        raise CorpusError(f"{path}: not a valid index file (missing format marker)")
-    entries = payload.get("docs")
-    if not isinstance(entries, list):
-        raise CorpusError(f"{path}: index file needs a docs list")
-    docs = _documents(enumerate(entries, start=1), path, "docs entry")
-    try:
-        return build_index(docs)
-    except CorpusError as exc:
-        raise CorpusError(f"{path}: {exc}") from None
+    """The documents an index file holds, read as a corpus file is."""
+    return build_index(load_corpus(path, "index"))

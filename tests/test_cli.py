@@ -79,7 +79,7 @@ class TestIndexCommand:
         monkeypatch.setattr(smr.retrieval, "_build_postings", refuse)
         out = tmp_path / "index.json"
         assert main(["index", "--corpus", str(DATA_DIR / "corpus.jsonl"), "--out", str(out)]) == 0
-        assert json.loads(out.read_text(encoding="utf-8"))["format"] == "smr-index-v1"
+        assert load_corpus(str(out)) == load_corpus(str(DATA_DIR / "corpus.jsonl"))
 
     def test_malformed_corpus_names_line(self, tmp_path, capsys):
         bad = tmp_path / "corpus.jsonl"
@@ -405,6 +405,15 @@ class TestRunCommand:
         assert main(["run", "--config", str(config)]) == 1
         assert capsys.readouterr().err == f"error: {kind} file not found: {tmp_path / missing}\n"
 
+    def test_old_format_index_is_one_line_error(self, tmp_path, capsys):
+        config = build_workspace(tmp_path)
+        index = tmp_path / "index.json"
+        docs = [{"doc_id": "d1", "text": "apple"}]
+        index.write_text(json.dumps({"format": "smr-index-v1", "docs": docs}) + "\n", encoding="utf-8")
+        assert main(["run", "--config", str(config)]) == 1
+        assert capsys.readouterr().err == f"error: {index}: line 1: expected an object with doc_id and text\n"
+        assert not (tmp_path / "out").exists()
+
     def test_missing_prompt_file_is_one_config_error(self, tmp_path, capsys):
         config = build_workspace(tmp_path, engine_block={"policy": {"prompt_path": "nope.txt"}})
         assert main(["run", "--config", str(config)]) == 1
@@ -659,3 +668,13 @@ class TestToyGolden:
         ]) == 0
         for name in ("run.jsonl", "trace.jsonl", "report.json"):
             assert (out / name).read_bytes() == (GOLDEN_DIR / name).read_bytes(), name
+
+    def test_corpus_file_serves_as_index(self, tmp_path):
+        toy = tmp_path / "toy"
+        shutil.copytree(DATA_DIR, toy, ignore=shutil.ignore_patterns("out"))
+        config = json.loads((toy / "run_config.json").read_text(encoding="utf-8"))
+        config["retriever"]["bm25_index"] = "corpus.jsonl"
+        (toy / "run_config.json").write_text(json.dumps(config), encoding="utf-8")
+        assert main(["run", "--config", str(toy / "run_config.json")]) == 0
+        for name in ("run.jsonl", "trace.jsonl"):
+            assert (toy / "out" / name).read_bytes() == (GOLDEN_DIR / name).read_bytes(), name

@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 import smr.retrieval
 from smr.core import Document
 from smr.errors import CorpusError, UnknownDocumentError
+from smr.records import _dump
 from smr.retrieval import (
     Bm25Retriever,
     DenseRetriever,
@@ -127,6 +128,10 @@ class TestBuildIndex:
     def test_empty_corpus_rejected(self):
         with pytest.raises(CorpusError, match="empty"):
             build_index([])
+
+    def test_empty_doc_store_has_no_postings(self):
+        with pytest.raises(CorpusError, match="^corpus is empty$"):
+            Bm25Retriever({})
 
     def test_zero_token_document_allowed(self):
         retriever = bm25({"a": "...", "b": "word"})
@@ -586,55 +591,33 @@ class TestLoaders:
         with pytest.raises(CorpusError, match=f"^{kind} file not found: .*absent\\.jsonl$"):
             loader(str(path))
 
-    def test_load_index_rejects_garbage(self, tmp_path):
-        path = tmp_path / "index.json"
-        path.write_text('{"not": "an index"}')
-        with pytest.raises(CorpusError, match="format"):
-            load_index(str(path))
-
     def test_saved_index_holds_only_documents(self, tmp_path):
         path = tmp_path / "index.json"
-        save_index(build_index(docs_from({"d1": "apple", "d2": "banana"})), str(path))
-        payload = json.loads(path.read_text(encoding="utf-8"))
-        assert payload == {
-            "format": "smr-index-v1",
-            "docs": [{"doc_id": "d1", "text": "apple"}, {"doc_id": "d2", "text": "banana"}],
-        }
-        save_index(build_index(docs_from({"d1": 'say "hi"\nto Zoë'})), str(path))
+        save_index(build_index(docs_from({"d1": 'say "hi"\nto Zoë', "d2": "apple"})), str(path))
         assert path.read_bytes() == (
-            '{"format":"smr-index-v1","docs":[{"doc_id":"d1","text":"say \\"hi\\"\\nto Zoë"}]}\n'
+            '{"doc_id":"d1","text":"say \\"hi\\"\\nto Zoë"}\n{"doc_id":"d2","text":"apple"}\n'
         ).encode("utf-8")
-
-    def test_old_index_postings_ignored(self, tmp_path):
-        texts = {"d1": "apple banana", "d2": "banana cherry", "d3": "date"}
-        path = tmp_path / "index.json"
-        path.write_text(json.dumps({
-            "format": "smr-index-v1",
-            "docs": [{"doc_id": doc_id, "text": text} for doc_id, text in texts.items()],
-            "postings": {"banana": [["d1", 9], ["d3", 4]], "apple": [["d1", 1]], "date": [["d3", 1]]},
-            "doc_lengths": {"d1": 2, "d2": 2, "d3": 7},
-        }))
-        loaded = Bm25Retriever(load_index(str(path)))
-        built = bm25(texts)
-        assert_csr_matches_reference(loaded, texts)
-        for query in ("banana", "apple banana cherry", "date cherry"):
-            assert loaded.search(query, 10).entries == built.search(query, 10).entries
+        # Lines are encoded as run and trace lines are, and read back whole.
+        texts = {"d1": "tab\tnul\x00 back\\slash", "d\u00e9\u2028": "\U0001f600 \x7f \u2029", "d3": ""}
+        save_index(build_index(docs_from(texts)), str(path))
+        expected = "".join(_dump({"doc_id": k, "text": v}) + "\n" for k, v in texts.items())
+        assert path.read_bytes() == expected.encode("utf-8")
+        assert load_index(str(path)) == build_index(docs_from(texts))
 
     @pytest.mark.parametrize(
-        "docs, message",
+        "lines, message",
         [
-            ([{"doc_id": "d1", "text": "a"}, {"doc_id": "d1", "text": "b"}], "docs entry 2: duplicate doc_id 'd1'"),
-            ([{"doc_id": "d1", "text": 5}], "docs entry 1: doc_id and text must be strings"),
-            ([{"doc_id": "d1", "text": "a"}, ["d2", "b"]], "docs entry 2: doc_id and text must be strings"),
-            ([{"doc_id": "", "text": "a"}], "docs entry 1: doc_id must be a non-empty string"),
-            ([], "corpus is empty"),
-            ({"d1": "a"}, "index file needs a docs list"),
+            ([{"doc_id": "d1", "text": "a"}, {"doc_id": "d1", "text": "b"}], "line 2: duplicate doc_id 'd1'"),
+            ([{"doc_id": "d1", "text": 5}], "line 1: doc_id and text must be strings"),
+            ([{"doc_id": "d1", "text": "a"}, ["d2", "b"]], "line 2: expected an object with doc_id and text"),
+            ([{"doc_id": "", "text": "a"}], "line 1: doc_id must be a non-empty string"),
+            ([], "index file contains no documents"),
         ],
-        ids=["duplicate-id", "non-string-text", "non-object-entry", "empty-id", "no-docs", "docs-not-a-list"],
+        ids=["duplicate-id", "non-string-text", "non-object-entry", "empty-id", "no-docs"],
     )
-    def test_bad_index_docs_named(self, tmp_path, docs, message):
+    def test_bad_index_docs_named(self, tmp_path, lines, message):
         path = tmp_path / "index.json"
-        path.write_text(json.dumps({"format": "smr-index-v1", "docs": docs}))
+        path.write_text("".join(json.dumps(line) + "\n" for line in lines))
         with pytest.raises(CorpusError) as caught:
             load_index(str(path))
         assert str(caught.value) == f"{path}: {message}"
