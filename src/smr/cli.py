@@ -1,4 +1,4 @@
-"""Command-line interface: index, run, eval, inspect.
+"""Command-line interface: run, eval, inspect.
 
 Run configuration lives in a single JSON file; relative paths inside it
 resolve against the config file's directory so a config can travel with
@@ -15,7 +15,7 @@ import json
 import os
 import sys
 from pathlib import Path
-from typing import Any, Callable, Sequence
+from typing import Any, Callable, Mapping, Sequence
 
 from .engine import EngineConfig, run_batch, write_run_file, write_trace_file
 from .errors import ConfigError, SmrError, TraceFormatError
@@ -26,11 +26,9 @@ from .retrieval import (
     Bm25Retriever,
     DenseRetriever,
     Retriever,
-    build_index,
     load_corpus,
     load_dense_store,
     load_index,
-    save_index,
 )
 from .records import iter_jsonl, iter_traces, open_input, query_id_key
 
@@ -71,6 +69,16 @@ def load_queries(path: str) -> list[tuple[str, str]]:
     if not queries:
         raise ConfigError(f"{path}: queries file is empty")
     return queries
+
+
+def _check_outputs(files: Mapping[str, str | None], outputs: tuple[str, ...]) -> None:
+    """Raise ConfigError naming both keys if an output names the same file as
+    another entry (after resolving ``..`` and symlinks); "" or None is no file."""
+    resolved = {key: Path(path).resolve() for key, path in files.items() if path}
+    for output in outputs:
+        for key, path in resolved.items():
+            if key != output and path == resolved.get(output):
+                raise ConfigError(f"{output} and {key} name the same file: {path}")
 
 
 def _build(cls: type, block: dict, where: str) -> Any:
@@ -172,11 +180,7 @@ class RunPlan:
             self.script_path = _config_str(llm_block, "script", "llm", base)
             files["llm.script"] = self.script_path
 
-        resolved = {key: Path(path).resolve() for key, path in files.items()}
-        for output in ("paths.run", "paths.trace"):
-            for key, path in resolved.items():
-                if key != output and path == resolved[output]:
-                    raise ConfigError(f"{output} and {key} name the same file: {path}")
+        _check_outputs(files, ("paths.run", "paths.trace"))
 
     def build_backend_factory(self) -> Callable[[str], ChatBackend]:
         if self.llm_mode == "endpoint":
@@ -225,15 +229,6 @@ class RunPlan:
         return DenseRetriever(store, doc_store, embedder)
 
 
-def cmd_index(args: argparse.Namespace) -> int:
-    corpus = load_corpus(args.corpus)
-    index = build_index(corpus)
-    Path(args.out).parent.mkdir(parents=True, exist_ok=True)
-    save_index(index, args.out)
-    print(f"indexed {len(index)} documents -> {args.out}")
-    return 0
-
-
 def cmd_run(args: argparse.Namespace) -> int:
     plan = RunPlan(args.config)
     queries = load_queries(plan.queries_path)
@@ -271,6 +266,8 @@ def cmd_run(args: argparse.Namespace) -> int:
 
 
 def cmd_eval(args: argparse.Namespace) -> int:
+    files = {f"--{flag}": getattr(args, flag) for flag in ("out", "csv", "run", "qrels", "trace")}
+    _check_outputs(files, ("--out", "--csv"))
     records = load_run_records(args.run)
     qrels = load_qrels(args.qrels)
     analytics = None
@@ -344,11 +341,6 @@ def build_parser() -> argparse.ArgumentParser:
         description="Iterative retrieval: refine queries, rerank results, stop when stable.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p_index = sub.add_parser("index", help="build a BM25 index from a JSONL corpus")
-    p_index.add_argument("--corpus", required=True, help="JSONL corpus of {doc_id, text}")
-    p_index.add_argument("--out", required=True, help="where to write the index")
-    p_index.set_defaults(func=cmd_index)
 
     p_run = sub.add_parser("run", help="run the reasoning loop over a query set")
     p_run.add_argument("--config", required=True, help="JSON run configuration")

@@ -108,11 +108,11 @@ def read_run(lines: Iterable[str], name: str) -> list[dict]:
     """Run records as written; error entries pass through unchanged.
 
     Raises CorpusError naming the line for a query_id that is not a string
-    or an integer or that repeats, a record with neither an error nor a
-    ranked_doc_ids list, a ranked_doc_ids entry that is not a string or
-    repeats, or a success record without the rest of the shape
-    emit_run_record writes: a string final_query, a known stop_cause, and
-    steps and output_tokens that are non-negative integers.
+    or an integer or that repeats, an error that is not a string, a record
+    with neither an error nor a ranked_doc_ids list, a ranked_doc_ids entry
+    that is not a string or repeats, or a success record without the rest
+    of the shape emit_run_record writes: a string final_query, a known
+    stop_cause, and steps and output_tokens that are non-negative integers.
     """
     records: list[dict] = []
     seen: set[str] = set()
@@ -121,6 +121,8 @@ def read_run(lines: Iterable[str], name: str) -> list[dict]:
         if query_id in seen:
             raise CorpusError(f"{name}: line {lineno}: repeated query_id {query_id!r}")
         seen.add(query_id)
+        if type(record.get("error", "")) is not str:
+            raise CorpusError(f"{name}: line {lineno}: error must be a string")
         if "error" not in record:
             ranked = record.get("ranked_doc_ids")
             if type(ranked) is not list:
@@ -186,15 +188,15 @@ def iter_traces(lines: Iterable[str], name: str) -> Iterator[QueryTrace]:
     """Each query's records, yielded once its summary or error line ends it.
 
     Raises TraceFormatError naming the line for a query_id that is not a
-    string or an integer, a record of no known shape, a bad action, a step
-    that is not the transition's 1-based position in its query, a transition
-    after one with a stop_cause, token or step counts that are not
-    non-negative integers, other transition fields not of the types
-    emit_trace writes, a stop_cause the transition's action cannot end in
-    (a stop must end in one), a summary with no transition before it or
-    with a stop_cause that is unknown or not its last transition's, summary
-    counts the transitions disagree with, or a record for a query that
-    already ended.
+    string or an integer, an error that is not a string, a record of no
+    known shape, a bad action, a step that is not the transition's 1-based
+    position in its query, a transition after one with a stop_cause, token
+    or step counts that are not non-negative integers, other transition
+    fields not of the types emit_trace writes, a stop_cause the transition's
+    action cannot end in (a stop must end in one), a summary with no
+    transition before it or with a stop_cause that is unknown or not its
+    last transition's, summary counts the transitions disagree with, or a
+    record for a query that already ended.
     """
     pending: dict[str, QueryTrace] = {}
     ended: set[str] = set()
@@ -206,7 +208,9 @@ def iter_traces(lines: Iterable[str], name: str) -> Iterator[QueryTrace]:
         if trace is None:
             trace = pending[query_id] = QueryTrace(query_id)
         if "error" in record:
-            trace.error = str(record["error"])
+            if type(record["error"]) is not str:
+                raise TraceFormatError(f"{name}: line {lineno}: error must be a string")
+            trace.error = record["error"]
         elif "action" in record:
             action = record["action"]
             if action not in _ACTIONS:

@@ -8,7 +8,6 @@ from pathlib import Path
 import pytest
 
 import smr.cli
-import smr.retrieval
 from smr.cli import load_queries, main
 from smr.errors import ConfigError
 from smr.policy import load_policy_prompt
@@ -41,8 +40,9 @@ def build_workspace(
     engine_block: dict | None = None,
     queries: list[dict] | None = None,
 ) -> Path:
-    """Lay out corpus, index, queries, script, and a config using relative paths."""
-    save_index(build_index(load_corpus(str(DATA_DIR / "corpus.jsonl"))), str(tmp_path / "index.json"))
+    """Lay out an index file (a copy of the corpus), queries, script, and a
+    config using relative paths."""
+    shutil.copy(DATA_DIR / "corpus.jsonl", tmp_path / "index.json")
     queries = queries if queries is not None else [{"query_id": "q1", "text": "what is an LLM"}]
     with open(tmp_path / "queries.jsonl", "w", encoding="utf-8") as fh:
         for record in queries:
@@ -63,45 +63,28 @@ def build_workspace(
 
 
 class TestIndexCommand:
-    def test_builds_and_reports(self, tmp_path, capsys):
-        out = tmp_path / "nested" / "index.json"
-        rc = main(["index", "--corpus", str(DATA_DIR / "corpus.jsonl"), "--out", str(out)])
-        assert rc == 0
-        assert out.exists()
-        stdout = capsys.readouterr().out
-        assert "indexed 6 documents" in stdout
-        assert str(out) in stdout
+    """`smr index` is gone: `smr run` reads the corpus file it took."""
 
-    def test_never_builds_postings(self, tmp_path, monkeypatch):
-        def refuse(_doc_store):
-            raise AssertionError("smr index built the postings")
-
-        monkeypatch.setattr(smr.retrieval, "_build_postings", refuse)
-        out = tmp_path / "index.json"
-        assert main(["index", "--corpus", str(DATA_DIR / "corpus.jsonl"), "--out", str(out)]) == 0
-        assert load_corpus(str(out)) == load_corpus(str(DATA_DIR / "corpus.jsonl"))
-
-    def test_malformed_corpus_names_line(self, tmp_path, capsys):
-        bad = tmp_path / "corpus.jsonl"
-        bad.write_text('{"doc_id": "d1", "text": "fine"}\nnot json\n', encoding="utf-8")
-        rc = main(["index", "--corpus", str(bad), "--out", str(tmp_path / "index.json")])
-        assert rc == 1
-        assert "line 2" in capsys.readouterr().err
-
-    def test_duplicate_doc_id_names_file_and_line(self, tmp_path, capsys):
-        corpus = tmp_path / "corpus.jsonl"
-        corpus.write_text('{"doc_id": "d1", "text": "a"}\n{"doc_id": "d1", "text": "b"}\n', encoding="utf-8")
-        rc = main(["index", "--corpus", str(corpus), "--out", str(tmp_path / "index.json")])
-        assert rc == 1
+    def test_is_an_unknown_command(self, tmp_path, capsys, monkeypatch):
+        shutil.copy(DATA_DIR / "corpus.jsonl", tmp_path / "corpus.jsonl")
+        monkeypatch.chdir(tmp_path)
+        with pytest.raises(SystemExit) as excinfo:
+            main(["index", "--corpus", "corpus.jsonl", "--out", "index.json"])
+        assert excinfo.value.code == 2
         err = capsys.readouterr().err
-        assert err == f"error: {corpus}: line 2: duplicate doc_id 'd1'\n"
-        assert not (tmp_path / "index.json").exists()
+        assert err.startswith("usage: smr [-h] {run,eval,inspect} ...\n")
+        assert "invalid choice: 'index'" in err
+        assert [path.name for path in tmp_path.iterdir()] == ["corpus.jsonl"]
 
     def test_missing_corpus_named(self, tmp_path, capsys):
-        corpus = tmp_path / "corpus.jsonl"
-        rc = main(["index", "--corpus", str(corpus), "--out", str(tmp_path / "index.json")])
-        assert rc == 1
-        assert capsys.readouterr().err == f"error: corpus file not found: {corpus}\n"
+        config = build_workspace(tmp_path)
+        config.write_text(
+            json.dumps({**json.loads(config.read_text()), "retriever": DENSE_BLOCK}), encoding="utf-8"
+        )
+        (tmp_path / "store.jsonl").write_text('{"doc_id": "d1", "vector": [1, 0]}\n', encoding="utf-8")
+        assert main(["run", "--config", str(config)]) == 1
+        assert capsys.readouterr().err == f"error: corpus file not found: {tmp_path / 'corpus.jsonl'}\n"
+        assert not (tmp_path / "out").exists()
 
 
 class TestLoadQueries:
@@ -405,6 +388,22 @@ class TestRunCommand:
         assert main(["run", "--config", str(config)]) == 1
         assert capsys.readouterr().err == f"error: {kind} file not found: {tmp_path / missing}\n"
 
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ('{"doc_id": "d1", "text": "fine"}\nnot json\n', "line 2: invalid JSON (Expecting value)"),
+            ('{"doc_id": "d1", "text": "a"}\n{"doc_id": "d1", "text": "b"}\n', "line 2: duplicate doc_id 'd1'"),
+        ],
+        ids=["malformed-line", "duplicate-doc-id"],
+    )
+    def test_bad_corpus_line_named_before_any_output(self, tmp_path, capsys, text, message):
+        config = build_workspace(tmp_path)
+        corpus = tmp_path / "index.json"
+        corpus.write_text(text, encoding="utf-8")
+        assert main(["run", "--config", str(config)]) == 1
+        assert capsys.readouterr().err == f"error: {corpus}: {message}\n"
+        assert not (tmp_path / "out").exists()
+
     def test_old_format_index_is_one_line_error(self, tmp_path, capsys):
         config = build_workspace(tmp_path)
         index = tmp_path / "index.json"
@@ -545,6 +544,25 @@ class TestEvalCommand:
         assert rc == 1
         assert capsys.readouterr().err == f"error: {kind} file not found: {absent}\n"
 
+    @pytest.mark.parametrize(
+        "output, clash",
+        [("--out", "--run"), ("--csv", "--run"), ("--out", "--qrels"), ("--csv", "--trace"), ("--out", "--csv")],
+    )
+    def test_output_naming_another_file_rejected_before_any_read(self, tmp_path, capsys, output, clash):
+        out = completed_run(tmp_path)
+        shutil.copy(DATA_DIR / "qrels.txt", tmp_path / "qrels.txt")
+        files = {
+            "--run": out / "run.jsonl", "--qrels": tmp_path / "qrels.txt", "--trace": out / "trace.jsonl",
+            "--out": tmp_path / "report.json", "--csv": tmp_path / "rows.csv",
+        }
+        target = files[clash]
+        files[output] = target.parent / "sub" / ".." / target.name
+        before = {path: path.read_bytes() for path in tmp_path.rglob("*") if path.is_file()}
+        capsys.readouterr()
+        assert main(["eval", *(arg for flag, path in files.items() for arg in (flag, str(path)))]) == 1
+        assert capsys.readouterr().err == f"error: {output} and {clash} name the same file: {target.resolve()}\n"
+        assert {path: path.read_bytes() for path in tmp_path.rglob("*") if path.is_file()} == before
+
 
 STOP_TRANSITION = {
     "query_id": "q1", "step": 1, "action": "stop", "query": "q", "doc_ids": ["d1", "d2"],
@@ -595,6 +613,7 @@ class TestInspectCommand:
             ([{**STOP_TRANSITION, "temperature": "hot"}, STOP_SUMMARY], 1),
             ([{**STOP_TRANSITION, "reason": 3}, STOP_SUMMARY], 1),
             ([STOP_TRANSITION, {**STOP_SUMMARY, "stop_cause": "step-cap"}], 2),
+            ([{"query_id": "q1", "error": None}], 1),
         ],
         ids=[
             "invalid-json",
@@ -607,6 +626,7 @@ class TestInspectCommand:
             "string-temperature",
             "non-string-reason",
             "summary-cause-disagrees",
+            "null-error",
         ],
     )
     def test_malformed_line_names_file_and_line(self, tmp_path, capsys, records, lineno):
@@ -626,7 +646,7 @@ class TestNonUtf8Input:
     @pytest.mark.parametrize(
         "kind, name, command",
         [
-            ("corpus", "corpus.jsonl", ["index", "--corpus", "corpus.jsonl", "--out", "again.json"]),
+            ("corpus", "corpus.jsonl", ["run", "--config", "dense.json"]),
             ("queries", "queries.jsonl", ["run", "--config", "config.json"]),
             ("index", "index.json", ["run", "--config", "config.json"]),
             ("config", "config.json", ["run", "--config", "config.json"]),
@@ -641,6 +661,10 @@ class TestNonUtf8Input:
         config = build_workspace(tmp_path, engine_block={"policy": {"prompt_path": "prompt.txt"}})
         assert main(["run", "--config", str(config)]) == 0
         shutil.copy(DATA_DIR / "corpus.jsonl", tmp_path / "corpus.jsonl")
+        (tmp_path / "store.jsonl").write_text('{"doc_id": "d1", "vector": [1, 0]}\n', encoding="utf-8")
+        (tmp_path / "dense.json").write_text(
+            json.dumps({**json.loads(config.read_text()), "retriever": DENSE_BLOCK}), encoding="utf-8"
+        )
         shutil.copy(DATA_DIR / "qrels.txt", tmp_path / "qrels.txt")
         target = tmp_path / name
         data = target.read_bytes()
@@ -651,15 +675,28 @@ class TestNonUtf8Input:
         assert main(command) == 1
         err = capsys.readouterr().err
         where = "config.json: " if kind == "prompt" else ""
-        path = target if kind in ("prompt", "index", "queries") else name
+        path = target if kind in ("prompt", "corpus", "index", "queries") else name
         assert err == f"error: {where}{kind} file {path}: not UTF-8 (byte 0xe9: invalid continuation byte)\n"
 
 
 class TestToyGolden:
     def test_index_and_run_reproduce_golden_outputs(self, tmp_path):
+        # The BM25 set-up the benchmark runs: build_index and save_index, then smr run on the saved file.
         toy = tmp_path / "toy"
         shutil.copytree(DATA_DIR, toy, ignore=shutil.ignore_patterns("out"))
-        assert main(["index", "--corpus", str(toy / "corpus.jsonl"), "--out", str(toy / "out" / "index.json")]) == 0
+        save_index(build_index(load_corpus(str(toy / "corpus.jsonl"))), str(toy / "index.json"))
+        config = json.loads((toy / "run_config.json").read_text(encoding="utf-8"))
+        config["retriever"]["bm25_index"] = "index.json"
+        (toy / "run_config.json").write_text(json.dumps(config), encoding="utf-8")
+        assert main(["run", "--config", str(toy / "run_config.json")]) == 0
+        for name in ("run.jsonl", "trace.jsonl"):
+            assert (toy / "out" / name).read_bytes() == (GOLDEN_DIR / name).read_bytes(), name
+
+    def test_corpus_file_serves_as_index(self, tmp_path):
+        toy = tmp_path / "toy"
+        shutil.copytree(DATA_DIR, toy, ignore=shutil.ignore_patterns("out"))
+        config = json.loads((toy / "run_config.json").read_text(encoding="utf-8"))
+        assert config["retriever"]["bm25_index"] == "corpus.jsonl"
         assert main(["run", "--config", str(toy / "run_config.json")]) == 0
         out = toy / "out"
         assert main([
@@ -668,13 +705,3 @@ class TestToyGolden:
         ]) == 0
         for name in ("run.jsonl", "trace.jsonl", "report.json"):
             assert (out / name).read_bytes() == (GOLDEN_DIR / name).read_bytes(), name
-
-    def test_corpus_file_serves_as_index(self, tmp_path):
-        toy = tmp_path / "toy"
-        shutil.copytree(DATA_DIR, toy, ignore=shutil.ignore_patterns("out"))
-        config = json.loads((toy / "run_config.json").read_text(encoding="utf-8"))
-        config["retriever"]["bm25_index"] = "corpus.jsonl"
-        (toy / "run_config.json").write_text(json.dumps(config), encoding="utf-8")
-        assert main(["run", "--config", str(toy / "run_config.json")]) == 0
-        for name in ("run.jsonl", "trace.jsonl"):
-            assert (toy / "out" / name).read_bytes() == (GOLDEN_DIR / name).read_bytes(), name

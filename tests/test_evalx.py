@@ -464,6 +464,8 @@ class TestLoadRunRecords:
             ([{**run_record("q1", ["d"]), "stop_cause": "bogus"}], 1),
             ([without(run_record("q1", ["d"]), "steps")], 1),
             ([without(run_record("q1", ["d"]), "output_tokens")], 1),
+            ([run_record("q1", ["d"]), {"query_id": "q2", "error": 7}], 2),
+            ([{"query_id": "q1", "error": None}], 1),
         ],
         ids=[
             "ranking-not-a-list",
@@ -480,6 +482,8 @@ class TestLoadRunRecords:
             "unknown-stop-cause",
             "missing-steps",
             "missing-output-tokens",
+            "integer-error",
+            "null-error",
         ],
     )
     def test_malformed_record_fails_eval_naming_line(self, tmp_path, capsys, records, lineno):
