@@ -9,7 +9,6 @@ the environment variable the config names (SMR_API_KEY by default).
 from __future__ import annotations
 
 import argparse
-import csv
 import dataclasses
 import json
 import os
@@ -21,14 +20,14 @@ from .engine import EngineConfig, run_batch, write_run_file, write_trace_file
 from .errors import ConfigError, SmrError, TraceFormatError
 from .evalx import METRIC_KEYS, analyze_traces, build_report, load_qrels, load_run_records
 from .llm import ChatBackend, ChatRequest, HttpBackend, HttpEmbedder, ScriptedBackend
-from .policy import PolicyConfig, load_policy_prompt
+from .policy import PolicyConfig
 from .retrieval import (
     Bm25Retriever,
     DenseRetriever,
     Retriever,
+    build_index,
     load_corpus,
     load_dense_store,
-    load_index,
 )
 from .records import iter_jsonl, iter_traces, open_input, query_id_key
 
@@ -130,12 +129,7 @@ class RunPlan:
         engine = raw.get("engine", {})
         if not isinstance(engine, dict) or not isinstance(engine.get("policy", {}), dict):
             raise ConfigError("engine and engine.policy must be objects")
-        policy = dict(engine.get("policy", {}))
-        if policy.get("prompt_path") is not None:
-            policy["prompt_path"] = _config_str(policy, "prompt_path", "engine.policy", base)
-            files["engine.policy.prompt_path"] = policy["prompt_path"]
-        policy_config = _build(PolicyConfig, policy, "engine.policy")
-        load_policy_prompt(policy_config.prompt_path)  # a missing prompt file fails here, before any query
+        policy_config = _build(PolicyConfig, engine.get("policy", {}), "engine.policy")
         self.engine = _build(EngineConfig, {**engine, "policy": policy_config}, "engine")
 
         retriever = raw["retriever"]
@@ -203,11 +197,9 @@ class RunPlan:
         table = {qid: check_steps(steps, f"entry {qid!r}") for qid, steps in script.items()}
 
         def factory(query_id: str) -> ChatBackend:
-            if query_id in table:
-                return ScriptedBackend(table[query_id])
-            if "*" in table:
-                return ScriptedBackend(table["*"])
-            raise ConfigError(f"{self.script_path}: no script for query {query_id!r} and no '*' default")
+            if query_id not in table:
+                raise ConfigError(f"{self.script_path}: no script for query {query_id!r}")
+            return ScriptedBackend(table[query_id])
 
         return factory
 
@@ -220,7 +212,7 @@ class RunPlan:
 
     def build_retriever(self) -> Retriever:
         if self.retriever_mode == "bm25_index":
-            return Bm25Retriever(load_index(self.index_path))
+            return Bm25Retriever(build_index(load_corpus(self.index_path)))
         store = load_dense_store(self.dense_store_path)
         corpus = load_corpus(self.dense_corpus_path)
         doc_store = {doc.doc_id: doc for doc in corpus}
@@ -266,8 +258,8 @@ def cmd_run(args: argparse.Namespace) -> int:
 
 
 def cmd_eval(args: argparse.Namespace) -> int:
-    files = {f"--{flag}": getattr(args, flag) for flag in ("out", "csv", "run", "qrels", "trace")}
-    _check_outputs(files, ("--out", "--csv"))
+    files = {f"--{flag}": getattr(args, flag) for flag in ("out", "run", "qrels", "trace")}
+    _check_outputs(files, ("--out",))
     records = load_run_records(args.run)
     qrels = load_qrels(args.qrels)
     analytics = None
@@ -296,11 +288,6 @@ def cmd_eval(args: argparse.Namespace) -> int:
             json.dump(report.to_dict(), fh, ensure_ascii=False, indent=2)
             fh.write("\n")
         print(f"report -> {args.out}")
-    if args.csv:
-        Path(args.csv).parent.mkdir(parents=True, exist_ok=True)
-        with open(args.csv, "w", encoding="utf-8", newline="") as fh:
-            csv.writer(fh).writerows(report.csv_rows())
-        print(f"csv -> {args.csv}")
     return 0
 
 
@@ -351,7 +338,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_eval.add_argument("--qrels", required=True, help="judgments: query_id 0 doc_id grade")
     p_eval.add_argument("--out", default=None, help="write the full report JSON here")
     p_eval.add_argument("--trace", default=None, help="trace file; adds action analytics to the report")
-    p_eval.add_argument("--csv", default=None, help="write per-query rows as CSV here")
     p_eval.set_defaults(func=cmd_eval)
 
     p_inspect = sub.add_parser("inspect", help="pretty-print one query's trace")

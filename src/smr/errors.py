@@ -8,8 +8,8 @@ class SmrError(Exception):
 
 
 class CorpusError(SmrError):
-    """A corpus, index (a corpus file), embeddings, run or qrels file could
-    not be loaded, or its documents could not be indexed."""
+    """A corpus, embeddings, run or qrels file could not be loaded, or its
+    documents could not be indexed."""
 
 
 class UnknownDocumentError(SmrError):

@@ -150,19 +150,6 @@ class EvalReport:
     def to_dict(self) -> dict:
         return asdict(self)
 
-    def csv_rows(self) -> list[list[str]]:
-        keys = [METRIC_KEYS[m] for m in self.metrics]
-        header = ["query_id", *keys, "steps", "output_tokens"]
-        rows = [header]
-        for query_id in sorted(self.per_query):
-            entry = self.per_query[query_id]
-            rows.append(
-                [query_id]
-                + [f"{entry[key]:.6f}" for key in keys]
-                + [str(entry["steps"]), str(entry["output_tokens"])]
-            )
-        return rows
-
 
 def load_run_records(path: str) -> list[dict]:
     """Read a run file back; error entries are passed through as written."""

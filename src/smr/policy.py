@@ -15,9 +15,8 @@ from importlib import resources
 from typing import Mapping
 
 from .core import Decision, Document, ReasoningState, require_ints
-from .errors import ConfigError, DecisionParseError, UnknownDocumentError
+from .errors import DecisionParseError, UnknownDocumentError
 from .llm import ChatBackend, ChatRequest
-from .records import open_input
 
 _ACTION_REFINE = "refine query"
 _ACTION_RERANK = "re-rank"
@@ -39,10 +38,9 @@ def temperature_for_attempt(attempt: int) -> float:
 
 @dataclass(frozen=True)
 class PolicyConfig:
-    """The retry budget and the prompt file; the schedule must stay inside [0, 1]."""
+    """The retry budget; the schedule must stay inside [0, 1]."""
 
     max_attempts: int = 6
-    prompt_path: str | None = None
 
     def __post_init__(self) -> None:
         require_ints(self, ("max_attempts",))
@@ -54,11 +52,8 @@ class PolicyConfig:
 
 
 @functools.cache
-def load_policy_prompt(prompt_path: str | None = None) -> str:
-    """The decision prompt: the packaged asset, or an override file, read once per path."""
-    if prompt_path is not None:
-        with open_input(prompt_path, "prompt", ConfigError) as fh:
-            return fh.read()
+def load_policy_prompt() -> str:
+    """The decision prompt, the packaged asset, read once."""
     return resources.files("smr").joinpath("prompts/decision_policy.txt").read_text(encoding="utf-8")
 
 
@@ -79,11 +74,7 @@ def _pair(doc_id: str, text: str) -> str:
     return f"    ({json.dumps(doc_id, ensure_ascii=False)}, {json.dumps(snippet, ensure_ascii=False)})"
 
 
-def render_policy_prompt(
-    state: ReasoningState,
-    doc_store: Mapping[str, Document],
-    config: PolicyConfig | None = None,
-) -> tuple[str, str]:
+def render_policy_prompt(state: ReasoningState, doc_store: Mapping[str, Document]) -> tuple[str, str]:
     """Build (system_text, user_text) for a decision call.
 
     The user text mirrors the input structure the prompt documents: the
@@ -92,8 +83,7 @@ def render_policy_prompt(
     marker.  Each pair is rendered once per (doc_id, text) and reused from
     a bounded cache afterwards.
     """
-    cfg = config or PolicyConfig()
-    system_text = load_policy_prompt(cfg.prompt_path)
+    system_text = load_policy_prompt()
     pairs = []
     for doc_id in state.docs.entries:
         doc = doc_store.get(doc_id)
@@ -188,7 +178,7 @@ def decide(
     the outcome is a synthesized stop with fallback=True.
     """
     cfg = config or PolicyConfig()
-    system_text, user_text = render_policy_prompt(state, doc_store, cfg)
+    system_text, user_text = render_policy_prompt(state, doc_store)
     total_tokens = 0
     temperature = 0.0
     for attempt in range(cfg.max_attempts):

@@ -195,8 +195,9 @@ def iter_traces(lines: Iterable[str], name: str) -> Iterator[QueryTrace]:
     fields not of the types emit_trace writes, a stop_cause the transition's
     action cannot end in (a stop must end in one), a summary with no
     transition before it or with a stop_cause that is unknown or not its
-    last transition's, summary counts the transitions disagree with, or a
-    record for a query that already ended.
+    last transition's, summary counts the transitions disagree with, an
+    error for a query that has transitions, or a record for a query that
+    already ended.
     """
     pending: dict[str, QueryTrace] = {}
     ended: set[str] = set()
@@ -210,6 +211,8 @@ def iter_traces(lines: Iterable[str], name: str) -> Iterator[QueryTrace]:
         if "error" in record:
             if type(record["error"]) is not str:
                 raise TraceFormatError(f"{name}: line {lineno}: error must be a string")
+            if trace.transitions:
+                raise TraceFormatError(f"{name}: line {lineno}: query {query_id!r} has an error after transitions")
             trace.error = record["error"]
         elif "action" in record:
             action = record["action"]

@@ -10,7 +10,6 @@ import pytest
 import smr.cli
 from smr.cli import load_queries, main
 from smr.errors import ConfigError
-from smr.policy import load_policy_prompt
 from smr.retrieval import build_index, load_corpus, save_index
 
 from conftest import DATA_DIR, refine_json, rerank_json, stop_json
@@ -215,9 +214,6 @@ class TestRunCommand:
              "paths.trace", "retriever.bm25_index"),
             ({"paths": {"queries": "queries.jsonl", "run": "script.json", "trace": "t.jsonl"}},
              "paths.run", "llm.script"),
-            ({"paths": {"queries": "queries.jsonl", "run": "r.jsonl", "trace": "prompt.txt"},
-              "engine": {"policy": {"prompt_path": "prompt.txt"}}},
-             "paths.trace", "engine.policy.prompt_path"),
             ({"paths": {"queries": "queries.jsonl", "run": "store.jsonl", "trace": "t.jsonl"},
               "retriever": DENSE_BLOCK},
              "paths.run", "retriever.dense_store"),
@@ -225,11 +221,10 @@ class TestRunCommand:
               "retriever": DENSE_BLOCK},
              "paths.trace", "retriever.corpus"),
         ],
-        ids=["run-trace", "run-queries", "trace-index", "run-script", "trace-prompt", "run-store", "trace-corpus"],
+        ids=["run-trace", "run-queries", "trace-index", "run-script", "run-store", "trace-corpus"],
     )
     def test_output_path_clash_rejected_before_any_output(self, tmp_path, capsys, blocks, output, clash):
         config = build_workspace(tmp_path)
-        (tmp_path / "prompt.txt").write_text("custom instructions\n", encoding="utf-8")
         raw = json.loads(config.read_text())
         raw.update(blocks)
         config.write_text(json.dumps(raw))
@@ -248,22 +243,20 @@ class TestRunCommand:
         assert capsys.readouterr().err == f"error: {config}: paths.trace and paths.queries name the same file: {queries}\n"
         assert not (tmp_path / "out" / "run.jsonl").exists()
 
-    def test_star_default_covers_unlisted_queries(self, tmp_path, capsys):
+    def test_star_is_an_ordinary_script_key(self, tmp_path, capsys):
         queries = [
             {"query_id": "q1", "text": "what is an LLM"},
             {"query_id": "q2", "text": "pasta cooking"},
         ]
-        script = {"q1": TOY_SCRIPT["q1"], "*": [stop_json()]}
-        config = build_workspace(tmp_path, script=script, queries=queries)
-        assert main(["run", "--config", str(config)]) == 0
-        stdout = capsys.readouterr().out
-        assert "q1\tpolicy-stop\tsteps=2" in stdout
-        assert "q2\tpolicy-stop\tsteps=0" in stdout
+        config = build_workspace(tmp_path, script={"*": [stop_json()]}, queries=queries)
+        assert main(["run", "--config", str(config)]) == 1
+        assert capsys.readouterr().err == f"error: {tmp_path / 'script.json'}: no script for query 'q1'\n"
+        assert not (tmp_path / "out").exists()
 
     def test_missing_script_entry_is_config_error(self, tmp_path, capsys):
         config = build_workspace(tmp_path, script={"other": [stop_json()]})
         assert main(["run", "--config", str(config)]) == 1
-        assert "no script for query 'q1'" in capsys.readouterr().err
+        assert capsys.readouterr().err == f"error: {tmp_path / 'script.json'}: no script for query 'q1'\n"
 
     def test_exhausted_script_fails_query_not_command(self, tmp_path, capsys):
         queries = [
@@ -337,7 +330,7 @@ class TestRunCommand:
             ("retriever.api_key_env", {"retriever": {**DENSE_BLOCK, "api_key_env": 7}}),
             ("llm.script", {"llm": {"script": 7}}),
             ("llm.api_key_env", {"llm": {"endpoint": "http://127.0.0.1:9/v1", "model": "m", "api_key_env": 7}}),
-            ("engine.policy.prompt_path", {"engine": {"policy": {"prompt_path": 7}}}),
+            ("retriever.corpus", {"retriever": {**DENSE_BLOCK, "corpus": 7}}),
             ("paths.queries", {"paths": {"queries": 7, "run": "run.jsonl", "trace": "trace.jsonl"}}),
         ],
     )
@@ -373,6 +366,7 @@ class TestRunCommand:
             ("temperature_increment", 0.1),
             ("doc_snippet_chars", 2000),
             ("max_output_tokens", 1024),
+            ("prompt_path", None),
         ],
     )
     def test_fixed_policy_setting_rejected_before_any_output(self, tmp_path, capsys, key, value):
@@ -381,7 +375,7 @@ class TestRunCommand:
         assert capsys.readouterr().err == f"error: {config}: engine.policy: unknown keys ['{key}']\n"
         assert not (tmp_path / "out").exists()
 
-    @pytest.mark.parametrize("missing, kind", [("queries.jsonl", "queries"), ("index.json", "index")])
+    @pytest.mark.parametrize("missing, kind", [("queries.jsonl", "queries"), ("index.json", "corpus")])
     def test_missing_input_file_named(self, tmp_path, capsys, missing, kind):
         config = build_workspace(tmp_path)
         (tmp_path / missing).unlink()
@@ -393,8 +387,9 @@ class TestRunCommand:
         [
             ('{"doc_id": "d1", "text": "fine"}\nnot json\n', "line 2: invalid JSON (Expecting value)"),
             ('{"doc_id": "d1", "text": "a"}\n{"doc_id": "d1", "text": "b"}\n', "line 2: duplicate doc_id 'd1'"),
+            ("\n", "corpus file contains no documents"),
         ],
-        ids=["malformed-line", "duplicate-doc-id"],
+        ids=["malformed-line", "duplicate-doc-id", "empty-file"],
     )
     def test_bad_corpus_line_named_before_any_output(self, tmp_path, capsys, text, message):
         config = build_workspace(tmp_path)
@@ -411,12 +406,6 @@ class TestRunCommand:
         index.write_text(json.dumps({"format": "smr-index-v1", "docs": docs}) + "\n", encoding="utf-8")
         assert main(["run", "--config", str(config)]) == 1
         assert capsys.readouterr().err == f"error: {index}: line 1: expected an object with doc_id and text\n"
-        assert not (tmp_path / "out").exists()
-
-    def test_missing_prompt_file_is_one_config_error(self, tmp_path, capsys):
-        config = build_workspace(tmp_path, engine_block={"policy": {"prompt_path": "nope.txt"}})
-        assert main(["run", "--config", str(config)]) == 1
-        assert capsys.readouterr().err == f"error: {config}: prompt file not found: {tmp_path / 'nope.txt'}\n"
         assert not (tmp_path / "out").exists()
 
 
@@ -447,6 +436,18 @@ class TestRunEndpointMode:
         assert main(["run", "--config", str(config)]) == 1
         assert "SMR_API_KEY" in capsys.readouterr().err
         assert endpoint.received == []
+
+    def test_prompt_path_fails_before_the_ping(self, tmp_path, endpoint, monkeypatch, capsys):
+        monkeypatch.setenv("SMR_API_KEY", "secret-key")
+        config = build_workspace(
+            tmp_path,
+            llm_block={"endpoint": endpoint.url, "model": "test-model"},
+            engine_block={"policy": {"prompt_path": "prompt.txt"}},
+        )
+        assert main(["run", "--config", str(config)]) == 1
+        assert capsys.readouterr().err == f"error: {config}: engine.policy: unknown keys ['prompt_path']\n"
+        assert endpoint.received == []
+        assert not (tmp_path / "out").exists()
 
     def test_broken_queries_line_fails_before_any_endpoint_call(self, tmp_path, endpoint, monkeypatch, capsys):
         monkeypatch.setenv("SMR_API_KEY", "secret-key")
@@ -494,10 +495,19 @@ class TestEvalCommand:
         assert excinfo.value.code == 2
         assert "unrecognized arguments: --metrics" in capsys.readouterr().err
 
-    def test_report_and_csv_outputs(self, tmp_path, capsys):
+    def test_csv_flag_is_gone(self, tmp_path, capsys):
+        out = completed_run(tmp_path)
+        capsys.readouterr()
+        argv = ["eval", "--run", str(out / "run.jsonl"), "--qrels", str(DATA_DIR / "qrels.txt")]
+        with pytest.raises(SystemExit) as excinfo:
+            main([*argv, "--csv", str(tmp_path / "rows.csv")])
+        assert excinfo.value.code == 2
+        assert "unrecognized arguments: --csv" in capsys.readouterr().err
+        assert not (tmp_path / "rows.csv").exists()
+
+    def test_report_output(self, tmp_path, capsys):
         out = completed_run(tmp_path)
         report_path = tmp_path / "report.json"
-        csv_path = tmp_path / "per_query.csv"
         rc = main(
             [
                 "eval",
@@ -509,8 +519,6 @@ class TestEvalCommand:
                 str(out / "trace.jsonl"),
                 "--out",
                 str(report_path),
-                "--csv",
-                str(csv_path),
             ]
         )
         assert rc == 0
@@ -518,9 +526,7 @@ class TestEvalCommand:
         assert report["aggregate"]["ndcg10"] == pytest.approx(1.0)
         assert report["action_histogram"] == {"refine": 1, "rerank": 1}
         assert report["step_depth_cumulative"] == [1, 1]
-        rows = csv_path.read_text().splitlines()
-        assert rows[0].startswith("query_id,ndcg10")
-        assert rows[1].startswith("q1,1.000000")
+        assert report["per_query"]["q1"]["ndcg10"] == pytest.approx(1.0)
 
     def test_excluded_query_reported(self, tmp_path, capsys):
         out = completed_run(tmp_path)
@@ -546,14 +552,14 @@ class TestEvalCommand:
 
     @pytest.mark.parametrize(
         "output, clash",
-        [("--out", "--run"), ("--csv", "--run"), ("--out", "--qrels"), ("--csv", "--trace"), ("--out", "--csv")],
+        [("--out", "--run"), ("--out", "--qrels"), ("--out", "--trace")],
     )
     def test_output_naming_another_file_rejected_before_any_read(self, tmp_path, capsys, output, clash):
         out = completed_run(tmp_path)
         shutil.copy(DATA_DIR / "qrels.txt", tmp_path / "qrels.txt")
         files = {
             "--run": out / "run.jsonl", "--qrels": tmp_path / "qrels.txt", "--trace": out / "trace.jsonl",
-            "--out": tmp_path / "report.json", "--csv": tmp_path / "rows.csv",
+            "--out": tmp_path / "report.json",
         }
         target = files[clash]
         files[output] = target.parent / "sub" / ".." / target.name
@@ -648,17 +654,16 @@ class TestNonUtf8Input:
         [
             ("corpus", "corpus.jsonl", ["run", "--config", "dense.json"]),
             ("queries", "queries.jsonl", ["run", "--config", "config.json"]),
-            ("index", "index.json", ["run", "--config", "config.json"]),
+            ("corpus", "index.json", ["run", "--config", "config.json"]),
             ("config", "config.json", ["run", "--config", "config.json"]),
-            ("prompt", "prompt.txt", ["run", "--config", "config.json"]),
+            ("script", "script.json", ["run", "--config", "config.json"]),
             ("qrels", "qrels.txt", ["eval", "--run", "out/run.jsonl", "--qrels", "qrels.txt"]),
             ("run", "out/run.jsonl", ["eval", "--run", "out/run.jsonl", "--qrels", "qrels.txt"]),
             ("trace", "out/trace.jsonl", ["inspect", "--trace", "out/trace.jsonl", "--query-id", "q1"]),
         ],
     )
     def test_file_named_without_traceback(self, tmp_path, capsys, monkeypatch, kind, name, command):
-        (tmp_path / "prompt.txt").write_text("custom instructions\n", encoding="utf-8")
-        config = build_workspace(tmp_path, engine_block={"policy": {"prompt_path": "prompt.txt"}})
+        config = build_workspace(tmp_path)
         assert main(["run", "--config", str(config)]) == 0
         shutil.copy(DATA_DIR / "corpus.jsonl", tmp_path / "corpus.jsonl")
         (tmp_path / "store.jsonl").write_text('{"doc_id": "d1", "vector": [1, 0]}\n', encoding="utf-8")
@@ -670,13 +675,11 @@ class TestNonUtf8Input:
         data = target.read_bytes()
         target.write_bytes(data[: len(data) // 2] + b"\xe9" + data[len(data) // 2 :])
         monkeypatch.chdir(tmp_path)
-        load_policy_prompt.cache_clear()  # the run above read the prompt while it was still valid
         capsys.readouterr()
         assert main(command) == 1
         err = capsys.readouterr().err
-        where = "config.json: " if kind == "prompt" else ""
-        path = target if kind in ("prompt", "corpus", "index", "queries") else name
-        assert err == f"error: {where}{kind} file {path}: not UTF-8 (byte 0xe9: invalid continuation byte)\n"
+        path = target if kind in ("corpus", "queries", "script") else name
+        assert err == f"error: {kind} file {path}: not UTF-8 (byte 0xe9: invalid continuation byte)\n"
 
 
 class TestToyGolden:

@@ -377,6 +377,10 @@ class TestAnalyzeTraces:
                 [transition_line("a", 1, "stop", cause="policy-stop", temperature=1.5), summary_line("a", 0, 0)],
                 "line 1: transition needs a temperature, a number in \\[0, 1\\]",
             ),
+            (
+                [transition_line("a", 1, "refine"), json.dumps({"query_id": "a", "error": "boom"})],
+                "line 2: query 'a' has an error after transitions",
+            ),
         ],
         ids=[
             "transition-without-step",
@@ -406,6 +410,7 @@ class TestAnalyzeTraces:
             "string-temperature",
             "boolean-temperature",
             "temperature-above-one",
+            "error-after-transitions",
         ],
     )
     def test_malformed_trace_names_file_and_line(self, lines, message):
@@ -551,13 +556,3 @@ class TestBuildReport:
         payload = report.to_dict()
         assert payload["metrics"] == ["ndcg@10", "map@10", "recall@10"]
         assert json.dumps(payload)  # serializable as-is
-
-    def test_csv_rows_sorted_and_formatted(self):
-        records = [run_record("q10", ["d1", "d3"]), run_record("q02", ["d3", "d1"])]
-        qrels = parse_qrels(["q10 0 d1 1", "q02 0 d1 1"])
-        report = build_report(records, qrels)
-        rows = report.csv_rows()
-        assert rows[0] == ["query_id", "ndcg10", "map10", "recall10", "steps", "output_tokens"]
-        assert [row[0] for row in rows[1:]] == ["q02", "q10"]
-        assert rows[2][1] == "1.000000"
-        assert rows[1][2] == "0.500000"  # d1 at rank 2

@@ -35,9 +35,8 @@ def make_store(**texts: str) -> dict[str, Document]:
 class TestPolicyConfig:
     def test_defaults(self):
         cfg = PolicyConfig()
-        assert [f.name for f in dataclasses.fields(PolicyConfig)] == ["max_attempts", "prompt_path"]
+        assert [f.name for f in dataclasses.fields(PolicyConfig)] == ["max_attempts"]
         assert cfg.max_attempts == 6
-        assert cfg.prompt_path is None
 
     def test_schedule_must_stay_in_unit_interval(self):
         with pytest.raises(ValueError, match=r"^escalation schedule exceeds temperature 1\.0 \(tops out at 1\.1\)$"):
@@ -79,10 +78,9 @@ class TestPromptAsset:
         assert '"action": "re-rank"' in prompt
         assert "### Decision policy (check in order):" in prompt
 
-    def test_override_path_wins(self, tmp_path):
-        path = tmp_path / "alt.txt"
-        path.write_text("custom instructions")
-        assert load_policy_prompt(str(path)) == "custom instructions"
+    def test_no_override_path(self):
+        with pytest.raises(TypeError):
+            load_policy_prompt("alt.txt")
 
 
 class TestRenderPolicyPrompt:
