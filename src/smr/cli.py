@@ -214,8 +214,7 @@ class RunPlan:
         if self.retriever_mode == "bm25_index":
             return Bm25Retriever(build_index(load_corpus(self.index_path)))
         store = load_dense_store(self.dense_store_path)
-        corpus = load_corpus(self.dense_corpus_path)
-        doc_store = {doc.doc_id: doc for doc in corpus}
+        doc_store = build_index(load_corpus(self.dense_corpus_path))
         api_key = _require_env(self.embed_api_key_env) if self.embed_api_key_env else None
         embedder = HttpEmbedder(self.embed_endpoint, self.embed_model, api_key=api_key)
         return DenseRetriever(store, doc_store, embedder)
@@ -227,6 +226,10 @@ def cmd_run(args: argparse.Namespace) -> int:
     # Fail fast on a dead endpoint before any query is consumed.
     plan.preflight()
     factory = plan.build_backend_factory()
+    if plan.llm_mode == "script":
+        # A query the script lacks fails here, before any query's work is done.
+        for query_id, _text in queries:
+            factory(query_id)
     retriever = plan.build_retriever()
 
     results = run_batch(queries, retriever, factory, plan.engine)

@@ -190,14 +190,13 @@ def iter_traces(lines: Iterable[str], name: str) -> Iterator[QueryTrace]:
     Raises TraceFormatError naming the line for a query_id that is not a
     string or an integer, an error that is not a string, a record of no
     known shape, a bad action, a step that is not the transition's 1-based
-    position in its query, a transition after one with a stop_cause, token
-    or step counts that are not non-negative integers, other transition
+    position in its query, a transition after one with a stop_cause,
+    output_tokens that are not a non-negative integer, other transition
     fields not of the types emit_trace writes, a stop_cause the transition's
-    action cannot end in (a stop must end in one), a summary with no
-    transition before it or with a stop_cause that is unknown or not its
-    last transition's, summary counts the transitions disagree with, an
-    error for a query that has transitions, or a record for a query that
-    already ended.
+    action cannot end in (a stop must end in one), a summary that is not the
+    one emit_trace writes for the transitions before it, which must end in
+    one with a stop_cause, an error for a query that has transitions, or a
+    record for a query that already ended.
     """
     pending: dict[str, QueryTrace] = {}
     ended: set[str] = set()
@@ -215,19 +214,14 @@ def iter_traces(lines: Iterable[str], name: str) -> Iterator[QueryTrace]:
                 raise TraceFormatError(f"{name}: line {lineno}: query {query_id!r} has an error after transitions")
             trace.error = record["error"]
         elif "action" in record:
-            action = record["action"]
+            action, step, position = record["action"], record.get("step"), len(trace.transitions) + 1
             if action not in _ACTIONS:
                 raise TraceFormatError(f"{name}: line {lineno}: unknown action {action!r}")
-            if type(record.get("step")) is not int:
-                raise TraceFormatError(f"{name}: line {lineno}: transition needs an integer step")
+            if not (type(step) is int and step == position):
+                raise TraceFormatError(f"{name}: line {lineno}: query {query_id!r} step {step!r} should be {position}")
             if trace.transitions and "stop_cause" in trace.transitions[-1]:
                 raise TraceFormatError(
                     f"{name}: line {lineno}: query {query_id!r} has a transition after its final one"
-                )
-            if record["step"] != len(trace.transitions) + 1:
-                raise TraceFormatError(
-                    f"{name}: line {lineno}: query {query_id!r} step {record['step']} "
-                    f"should be {len(trace.transitions) + 1}"
                 )
             if not _is_count(record.get("output_tokens")):
                 raise TraceFormatError(f"{name}: line {lineno}: transition needs non-negative integer output_tokens")
@@ -241,36 +235,30 @@ def iter_traces(lines: Iterable[str], name: str) -> Iterator[QueryTrace]:
             if type(temperature) not in (int, float) or not 0 <= temperature <= 1:
                 raise TraceFormatError(f"{name}: line {lineno}: transition needs a temperature, a number in [0, 1]")
             cause, ends = record.get("stop_cause"), _FINAL_CAUSES[action == "stop"]
-            if (action == "stop" or cause is not None) and cause not in ends:
+            if (action == "stop" or "stop_cause" in record) and cause not in ends:
                 raise TraceFormatError(f"{name}: line {lineno}: a {action} ends in {' or '.join(ends)}, not {cause!r}")
             trace.transitions.append(record)
             continue
         elif "steps" in record:
-            steps = record["steps"]
-            if not _is_count(steps) or not _is_count(record.get("output_tokens")):
+            if not trace.transitions or "stop_cause" not in trace.transitions[-1]:
                 raise TraceFormatError(
-                    f"{name}: line {lineno}: summary needs non-negative integer steps and output_tokens"
+                    f"{name}: line {lineno}: query {query_id!r} summary comes before its final transition"
                 )
-            if not trace.transitions:
-                raise TraceFormatError(f"{name}: line {lineno}: query {query_id!r} summary has no transition before it")
-            if record.get("stop_cause") not in _STOP_CAUSES:
-                raise TraceFormatError(f"{name}: line {lineno}: summary needs a stop_cause, one of {_STOP_CAUSE_LIST}")
-            if record["stop_cause"] != trace.transitions[-1].get("stop_cause"):
-                raise TraceFormatError(
-                    f"{name}: line {lineno}: query {query_id!r} summary's stop_cause is not its last transition's"
-                )
-            # Only the last transition can be a stop; the others advanced the state.
-            advancing = len(trace.transitions) - (trace.transitions[-1]["action"] == "stop")
-            if steps != advancing:
-                raise TraceFormatError(
-                    f"{name}: line {lineno}: query {query_id!r} summary says {steps} steps, trace shows {advancing}"
-                )
-            tokens = sum(tr["output_tokens"] for tr in trace.transitions)
-            if record["output_tokens"] != tokens:
-                raise TraceFormatError(
-                    f"{name}: line {lineno}: query {query_id!r} summary says {record['output_tokens']} "
-                    f"output_tokens, trace shows {tokens}"
-                )
+            last = trace.transitions[-1]
+            # emit_trace's summary, from the transitions.  Only the last can be
+            # a stop; the others advanced the state.
+            derived = {
+                "steps": len(trace.transitions) - (last["action"] == "stop"),
+                "output_tokens": sum(tr["output_tokens"] for tr in trace.transitions),
+                "stop_cause": last["stop_cause"],
+            }
+            for key, value in derived.items():
+                # Compared as JSON text, so true and 1.0 are not 1.
+                said, shown = _dump(record.get(key)), _dump(value)
+                if said != shown:
+                    raise TraceFormatError(
+                        f"{name}: line {lineno}: query {query_id!r} summary says {said} {key}, trace shows {shown}"
+                    )
             trace.summary = record
         else:
             raise TraceFormatError(f"{name}: line {lineno}: expected a transition, a summary or an error")

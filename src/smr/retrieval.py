@@ -1,9 +1,9 @@
 """Sparse and dense retrieval over an in-memory corpus.
 
-Sparse search is Okapi BM25 with every (term, document) weight computed
-once, when a Bm25Retriever is made, and kept in flat CSR arrays; dense
-search is cosine similarity over one matrix of externally supplied
-embeddings.  Both return ranked lists with deterministic tie-breaking
+Sparse search is Okapi BM25: a Bm25Retriever computes every (term,
+document) weight once, when it is made, and keeps them in its own flat CSR
+arrays.  Dense search is cosine similarity over one matrix of externally
+supplied embeddings.  Both return ranked lists with deterministic tie-breaking
 (ascending doc_id) so repeat runs produce identical output.
 """
 
@@ -65,71 +65,9 @@ def _top_k(
     return tuple(ids[p] for p in positions[order].tolist())
 
 
-@dataclass(frozen=True, eq=False)
-class Postings:
-    """BM25 search arrays over a fixed corpus.
-
-    Documents are numbered by their position in the corpus: ids[p] is the
-    doc_id at position p and rank[p] is its place in sorted(ids).  The term
-    numbered r by vocabulary owns the CSR row indptr[r]:indptr[r + 1] of
-    doc_pos (the positions of the documents holding it, ascending) and
-    weights (each one's BM25 weight).
-    """
-
-    vocabulary: dict[str, int]
-    indptr: np.ndarray
-    doc_pos: np.ndarray
-    weights: np.ndarray
-    ids: tuple[str, ...]
-    rank: np.ndarray
-
-
-def _build_postings(doc_store: Mapping[str, Document]) -> Postings:
-    n = len(doc_store)
-    if not n:
-        raise CorpusError("corpus is empty")
-    lengths: list[int] = []
-    # Terms are numbered in order of first occurrence; rows holds every
-    # token's term number, document after document.
-    vocabulary: defaultdict[str, int] = defaultdict(itertools.count().__next__)
-    rows = array.array("q")
-    for doc in doc_store.values():
-        tokens = tokenize(doc.text)
-        lengths.append(len(tokens))
-        rows.extend(map(vocabulary.__getitem__, tokens))
-    avg = sum(lengths) / n
-    # One key per token, row * n + position: the distinct keys, ascending,
-    # are the (term, document) pairs in CSR order, and their counts the tfs.
-    # The largest key is below len(vocabulary) * n, far inside int64.
-    keys, counts = np.unique(
-        np.array(rows, dtype=np.intp) * n + np.repeat(np.arange(n, dtype=np.intp), lengths),
-        return_counts=True,
-    )
-    term_rows, doc_pos = np.divmod(keys, n)
-    df = np.bincount(term_rows, minlength=len(vocabulary))
-    # The BM25 arithmetic, elementwise in the same operand order as the
-    # textbook loop, so a sum of these weights is that loop's float exactly.
-    # math.log, not np.log: the latter's vector path may differ in the last ulp.
-    idf = np.array([math.log(1.0 + (n - d + 0.5) / (d + 0.5)) for d in df.tolist()])
-    norm = 1.0 - BM25_B + BM25_B * np.array(lengths, dtype=np.float64)[doc_pos] / avg
-    tf = counts.astype(np.float64)
-    weights = idf[term_rows] * (tf * (BM25_K1 + 1.0) / (tf + BM25_K1 * norm))
-    indptr = np.zeros(len(vocabulary) + 1, dtype=np.intp)
-    np.cumsum(df, out=indptr[1:])
-    ids = tuple(doc_store)
-    return Postings(
-        vocabulary=dict(vocabulary),
-        indptr=indptr,
-        doc_pos=doc_pos,
-        weights=weights,
-        ids=ids,
-        rank=_sorted_rank(ids),
-    )
-
-
 def build_index(corpus: Iterable[Document]) -> dict[str, Document]:
     """The corpus's documents by doc_id, in corpus order, checked: distinct
-    doc_ids, at least one document.  Bm25Retriever builds the postings."""
+    doc_ids, at least one document.  Bm25Retriever builds the search arrays."""
     doc_store: dict[str, Document] = {}
     for doc in corpus:
         if doc.doc_id in doc_store:
@@ -138,25 +76,6 @@ def build_index(corpus: Iterable[Document]) -> dict[str, Document]:
     if not doc_store:
         raise CorpusError("corpus is empty")
     return doc_store
-
-
-def _scores(postings: Postings, terms: Iterable[str]) -> np.ndarray:
-    """BM25 score of every document position (0.0 where no term matches).
-
-    The query terms' CSR rows are concatenated in query-term order, repeats
-    kept, and np.bincount adds them in that order, so each score is the
-    float 0.0 + w1 + w2 + ... however it is asked for.
-    """
-    spans = [
-        (postings.indptr[row], postings.indptr[row + 1])
-        for row in (postings.vocabulary.get(term) for term in terms)
-        if row is not None
-    ]
-    if not spans:
-        return np.zeros(len(postings.ids))
-    doc_pos = np.concatenate([postings.doc_pos[a:b] for a, b in spans])
-    weights = np.concatenate([postings.weights[a:b] for a, b in spans])
-    return np.bincount(doc_pos, weights, minlength=len(postings.ids))
 
 
 @dataclass(frozen=True, eq=False)
@@ -279,12 +198,69 @@ class Retriever(Protocol):
 
 
 class Bm25Retriever:
-    """BM25 search over a checked doc store, such as build_index returns;
-    the postings are built once, here."""
+    """BM25 search over a checked doc store, such as build_index returns.
+
+    The search arrays are built once, here.  Documents are numbered by their
+    position in the doc store: ids[p] is the doc_id at position p and rank[p]
+    is its place in sorted(ids).  The term numbered r by vocabulary owns the
+    CSR row indptr[r]:indptr[r + 1] of doc_pos (the positions of the
+    documents holding it, ascending) and weights (each one's BM25 weight).
+    """
 
     def __init__(self, doc_store: Mapping[str, Document]):
+        n = len(doc_store)
+        if not n:
+            raise CorpusError("corpus is empty")
         self.doc_store = doc_store
-        self.postings = _build_postings(doc_store)
+        lengths: list[int] = []
+        # Terms are numbered in order of first occurrence; rows holds every
+        # token's term number, document after document.
+        vocabulary: defaultdict[str, int] = defaultdict(itertools.count().__next__)
+        rows = array.array("q")
+        for doc in doc_store.values():
+            tokens = tokenize(doc.text)
+            lengths.append(len(tokens))
+            rows.extend(map(vocabulary.__getitem__, tokens))
+        avg = sum(lengths) / n
+        # One key per token, row * n + position: the distinct keys, ascending,
+        # are the (term, document) pairs in CSR order, and their counts the tfs.
+        # The largest key is below len(vocabulary) * n, far inside int64.
+        keys, counts = np.unique(
+            np.array(rows, dtype=np.intp) * n + np.repeat(np.arange(n, dtype=np.intp), lengths),
+            return_counts=True,
+        )
+        term_rows, self.doc_pos = np.divmod(keys, n)
+        df = np.bincount(term_rows, minlength=len(vocabulary))
+        # The BM25 arithmetic, elementwise in the same operand order as the
+        # textbook loop, so a sum of these weights is that loop's float exactly.
+        # math.log, not np.log: the latter's vector path may differ in the last ulp.
+        idf = np.array([math.log(1.0 + (n - d + 0.5) / (d + 0.5)) for d in df.tolist()])
+        norm = 1.0 - BM25_B + BM25_B * np.array(lengths, dtype=np.float64)[self.doc_pos] / avg
+        tf = counts.astype(np.float64)
+        self.weights = idf[term_rows] * (tf * (BM25_K1 + 1.0) / (tf + BM25_K1 * norm))
+        self.indptr = np.zeros(len(vocabulary) + 1, dtype=np.intp)
+        np.cumsum(df, out=self.indptr[1:])
+        self.vocabulary = dict(vocabulary)
+        self.ids = tuple(doc_store)
+        self.rank = _sorted_rank(self.ids)
+
+    def _scores(self, terms: Iterable[str]) -> np.ndarray:
+        """BM25 score of every document position (0.0 where no term matches).
+
+        The query terms' CSR rows are concatenated in query-term order, repeats
+        kept, and np.bincount adds them in that order, so each score is the
+        float 0.0 + w1 + w2 + ... however it is asked for.
+        """
+        spans = [
+            (self.indptr[row], self.indptr[row + 1])
+            for row in (self.vocabulary.get(term) for term in terms)
+            if row is not None
+        ]
+        if not spans:
+            return np.zeros(len(self.ids))
+        doc_pos = np.concatenate([self.doc_pos[a:b] for a, b in spans])
+        weights = np.concatenate([self.weights[a:b] for a, b in spans])
+        return np.bincount(doc_pos, weights, minlength=len(self.ids))
 
     def search(self, query: str, k: int) -> RankedList:
         """Top-k BM25 results for a raw query string.
@@ -295,10 +271,9 @@ class Bm25Retriever:
         """
         if k < 1:
             raise ValueError("k must be >= 1")
-        postings = self.postings
-        scores = _scores(postings, tokenize(query))
+        scores = self._scores(tokenize(query))
         hits = np.flatnonzero(scores > 0.0)
-        return RankedList(entries=_top_k(postings.ids, postings.rank, hits, scores[hits], k))
+        return RankedList(entries=_top_k(self.ids, self.rank, hits, scores[hits], k))
 
 
 class DenseRetriever:
@@ -323,16 +298,15 @@ class DenseRetriever:
 
 # ---------------------------------------------------------------------------
 # File formats: JSON lines for corpora and embeddings.  A saved index is a
-# corpus file, and Bm25Retriever builds its postings.
+# corpus file, and Bm25Retriever builds its search arrays.
 
 
-def load_corpus(path: str, kind: str = "corpus") -> list[Document]:
-    """Read a JSONL file of {"doc_id": str, "text": str} records, such as a
-    corpus or an index file; kind names the file in its messages.  A bad
-    record or a repeated doc_id raises CorpusError naming file and line."""
+def load_corpus(path: str) -> list[Document]:
+    """Read a JSONL corpus file of {"doc_id": str, "text": str} records.  A
+    bad record or a repeated doc_id raises CorpusError naming file and line."""
     docs: list[Document] = []
     seen: set[str] = set()
-    with open_input(path, kind, CorpusError) as fh:
+    with open_input(path, "corpus", CorpusError) as fh:
         for lineno, record in iter_jsonl(fh, path, CorpusError, frozenset({"doc_id", "text"})):
             doc_id, text = record["doc_id"], record["text"]
             if not isinstance(doc_id, str) or not isinstance(text, str):
@@ -346,7 +320,7 @@ def load_corpus(path: str, kind: str = "corpus") -> list[Document]:
             seen.add(doc_id)
             docs.append(doc)
     if not docs:
-        raise CorpusError(f"{path}: {kind} file contains no documents")
+        raise CorpusError(f"{path}: corpus file contains no documents")
     return docs
 
 
@@ -380,4 +354,4 @@ def save_index(doc_store: Mapping[str, Document], path: str) -> None:
 
 def load_index(path: str) -> dict[str, Document]:
     """The documents an index file holds, read as a corpus file is."""
-    return build_index(load_corpus(path, "index"))
+    return build_index(load_corpus(path))

@@ -278,15 +278,13 @@ def format_decision(decision) -> str:
 def bm25_score(retriever, query_terms: list[str], doc_id: str) -> float:
     """A Bm25Retriever's score of one document for an already-tokenized query.
 
-    It reads one entry of smr.retrieval._scores, the scorer its search ranks
-    with, so comparing it to the oracles above checks the package's own
+    It reads one entry of the retriever's _scores, the scorer its search
+    ranks with, so comparing it to the oracles above checks the package's own
     arithmetic.  Terms absent from the document (or the whole corpus)
     contribute zero; repeated query terms contribute once per occurrence.
     """
     from smr.errors import UnknownDocumentError
-    from smr.retrieval import _scores
 
     if doc_id not in retriever.doc_store:
         raise UnknownDocumentError(f"doc_id not in index: {doc_id!r}")
-    postings = retriever.postings
-    return float(_scores(postings, query_terms)[postings.ids.index(doc_id)])
+    return float(retriever._scores(query_terms)[retriever.ids.index(doc_id)])

@@ -8,6 +8,7 @@ from pathlib import Path
 import pytest
 
 import smr.cli
+import smr.engine
 from smr.cli import load_queries, main
 from smr.errors import ConfigError
 from smr.retrieval import build_index, load_corpus, save_index
@@ -257,6 +258,22 @@ class TestRunCommand:
         config = build_workspace(tmp_path, script={"other": [stop_json()]})
         assert main(["run", "--config", str(config)]) == 1
         assert capsys.readouterr().err == f"error: {tmp_path / 'script.json'}: no script for query 'q1'\n"
+
+    def test_script_lacking_a_query_fails_before_any_query_runs(self, tmp_path, capsys, monkeypatch):
+        queries = [
+            {"query_id": "q1", "text": "what is an LLM"},
+            {"query_id": "q2", "text": "pasta cooking"},
+        ]
+        config = build_workspace(tmp_path, queries=queries, engine_block={"batch_size": 1})
+        calls = []
+        run_trajectory = smr.engine.run_trajectory
+        monkeypatch.setattr(
+            smr.engine, "run_trajectory", lambda *args: calls.append(args[0]) or run_trajectory(*args)
+        )
+        assert main(["run", "--config", str(config)]) == 1
+        assert capsys.readouterr().err == f"error: {tmp_path / 'script.json'}: no script for query 'q2'\n"
+        assert not (tmp_path / "out").exists()
+        assert calls == []
 
     def test_exhausted_script_fails_query_not_command(self, tmp_path, capsys):
         queries = [

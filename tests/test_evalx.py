@@ -181,13 +181,25 @@ def summary_line(query_id: str, steps: int, tokens: int, cause: str = "policy-st
 
 
 def trace_for(query_id: str, actions: list[str], tokens: int) -> list[str]:
-    """A query's trace; its last transition carries all the summary's tokens
-    and the stop cause, policy-stop after a stop and step-cap otherwise."""
+    """A query's trace as a run can write it, from the state transition_line
+    defaults to: each refine changes the query and appends an id, a rerank
+    reverses the list, and a stop repeats the state before it.  The last
+    transition carries all the summary's tokens and the stop cause,
+    policy-stop after a stop and step-cap otherwise."""
     cause = "policy-stop" if actions[-1] == "stop" else "step-cap"
-    lines = [
-        transition_line(query_id, i, a, tokens, cause) if i == len(actions) else transition_line(query_id, i, a)
-        for i, a in enumerate(actions, start=1)
-    ]
+    query, doc_ids = "q", ["d1", "d2"]
+    lines = []
+    for i, action in enumerate(actions, start=1):
+        if action == "refine":
+            query, doc_ids = f"{query} r{i}", [*doc_ids, f"d{len(doc_ids) + 1}"]
+        elif action == "rerank":
+            doc_ids = doc_ids[::-1]
+        last = i == len(actions)
+        lines.append(
+            transition_line(
+                query_id, i, action, tokens if last else 0, cause if last else None, query=query, doc_ids=doc_ids
+            )
+        )
     advancing = sum(1 for a in actions if a != "stop")
     lines.append(summary_line(query_id, advancing, tokens, cause))
     return lines
@@ -233,11 +245,7 @@ class TestAnalyzeTraces:
             analyze_traces([transition_line("a", 1, "merge")])
 
     def test_summary_step_count_cross_checked(self):
-        lines = [
-            transition_line("a", 1, "refine"),
-            transition_line("a", 2, "refine", cause="step-cap"),
-            summary_line("a", 5, 0, cause="step-cap"),
-        ]
+        lines = [*trace_for("a", ["refine", "refine"], 0)[:-1], summary_line("a", 5, 0, cause="step-cap")]
         with pytest.raises(TraceFormatError, match="summary says 5 steps, trace shows 2"):
             analyze_traces(lines)
 
@@ -258,12 +266,12 @@ class TestAnalyzeTraces:
         [
             (
                 [json.dumps({"query_id": "a", "action": "refine"}), summary_line("a", 1, 3)],
-                "line 1: transition needs an integer step",
+                "line 1: query 'a' step None should be 1",
             ),
             (trace_for("a", ["stop"], 1) + trace_for("a", ["stop"], 1), "line 3: query 'a' already ended"),
             (
                 [transition_line("a", 1, "stop", cause="policy-stop"), summary_line("a", 0, -7)],
-                "line 2: summary needs non-negative integer steps and output_tokens",
+                "line 2: query 'a' summary says -7 output_tokens, trace shows 0",
             ),
             (
                 [json.dumps({"query_id": True, "steps": 0, "output_tokens": 0, "stop_cause": "policy-stop"})],
@@ -299,16 +307,15 @@ class TestAnalyzeTraces:
             ),
             (
                 [summary_line("a", 0, 0)],
-                "line 1: query 'a' summary has no transition before it",
+                "line 1: query 'a' summary comes before its final transition",
             ),
             (
                 [transition_line("a", 1, "stop", cause="policy-stop"), summary_line("a", 0, 0, cause="bogus")],
-                "line 2: summary needs a stop_cause, one of policy-stop, equivalence-stop, "
-                "step-cap, policy-failure-fallback",
+                'line 2: query \'a\' summary says "bogus" stop_cause, trace shows "policy-stop"',
             ),
             (
                 [transition_line("a", 1, "stop", cause="policy-stop"), summary_line("a", 0, 0, cause="step-cap")],
-                "line 2: query 'a' summary's stop_cause is not its last transition's",
+                'line 2: query \'a\' summary says "step-cap" stop_cause, trace shows "policy-stop"',
             ),
             (
                 [transition_line("a", 1, "refine", cause="policy-stop"), summary_line("a", 1, 0)],
@@ -316,7 +323,7 @@ class TestAnalyzeTraces:
             ),
             (
                 [transition_line("a", 1, "rerank"), summary_line("a", 1, 0, cause="equivalence-stop")],
-                "line 2: query 'a' summary's stop_cause is not its last transition's",
+                "line 2: query 'a' summary comes before its final transition",
             ),
             (
                 [transition_line("a", 1, "stop"), summary_line("a", 0, 0)],
@@ -381,6 +388,18 @@ class TestAnalyzeTraces:
                 [transition_line("a", 1, "refine"), json.dumps({"query_id": "a", "error": "boom"})],
                 "line 2: query 'a' has an error after transitions",
             ),
+            (
+                [transition_line("a", 1, "refine", cause="step-cap"), summary_line("a", True, 0, "step-cap")],
+                "line 2: query 'a' summary says true steps, trace shows 1",
+            ),
+            (
+                [transition_line("a", 1, "stop", cause="policy-stop"), summary_line("a", 0, 0.0)],
+                "line 2: query 'a' summary says 0.0 output_tokens, trace shows 0",
+            ),
+            (
+                [transition_line("a", True, "stop", cause="policy-stop"), summary_line("a", 0, 0)],
+                "line 1: query 'a' step True should be 1",
+            ),
         ],
         ids=[
             "transition-without-step",
@@ -411,6 +430,9 @@ class TestAnalyzeTraces:
             "boolean-temperature",
             "temperature-above-one",
             "error-after-transitions",
+            "boolean-summary-steps",
+            "float-summary-tokens",
+            "boolean-step",
         ],
     )
     def test_malformed_trace_names_file_and_line(self, lines, message):

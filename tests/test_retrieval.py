@@ -54,9 +54,8 @@ def mean_length(texts: dict[str, str]) -> float:
 def assert_csr_matches_reference(retriever: Bm25Retriever, texts: dict[str, str]) -> None:
     """The retriever's arrays equal reference_csr's bit for bit, dtypes and vocabulary order included."""
     vocabulary, indptr, doc_pos, weights = reference_csr({k: oracle_tokenize(v) for k, v in texts.items()})
-    postings = retriever.postings
-    assert list(postings.vocabulary.items()) == list(vocabulary.items())
-    for got, want in ((postings.indptr, indptr), (postings.doc_pos, doc_pos), (postings.weights, weights)):
+    assert list(retriever.vocabulary.items()) == list(vocabulary.items())
+    for got, want in ((retriever.indptr, indptr), (retriever.doc_pos, doc_pos), (retriever.weights, weights)):
         assert got.dtype == want.dtype
         assert got.tobytes() == want.tobytes()
 
@@ -135,14 +134,13 @@ class TestBuildIndex:
 
     def test_zero_token_document_allowed(self):
         retriever = bm25({"a": "...", "b": "word"})
-        assert retriever.postings.doc_pos.tolist() == [1]
+        assert retriever.doc_pos.tolist() == [1]
         assert_csr_matches_reference(retriever, {"a": "...", "b": "word"})
 
     def test_postings_carry_term_frequencies(self):
         retriever = bm25({"a": "x x y", "b": "x"})
-        postings = retriever.postings
-        row = postings.vocabulary["x"]
-        assert postings.doc_pos[postings.indptr[row]:postings.indptr[row + 1]].tolist() == [0, 1]
+        row = retriever.vocabulary["x"]
+        assert retriever.doc_pos[retriever.indptr[row]:retriever.indptr[row + 1]].tolist() == [0, 1]
         # reference_csr derives the weights from the tfs 2 and 1.
         assert_csr_matches_reference(retriever, {"a": "x x y", "b": "x"})
 
@@ -584,7 +582,7 @@ class TestLoaders:
 
     @pytest.mark.parametrize(
         "loader, kind",
-        [(load_corpus, "corpus"), (load_dense_store, "embeddings"), (load_index, "index")],
+        [(load_corpus, "corpus"), (load_dense_store, "embeddings"), (load_index, "corpus")],
     )
     def test_missing_file_named(self, tmp_path, loader, kind):
         path = tmp_path / "absent.jsonl"
@@ -611,7 +609,7 @@ class TestLoaders:
             ([{"doc_id": "d1", "text": 5}], "line 1: doc_id and text must be strings"),
             ([{"doc_id": "d1", "text": "a"}, ["d2", "b"]], "line 2: expected an object with doc_id and text"),
             ([{"doc_id": "", "text": "a"}], "line 1: doc_id must be a non-empty string"),
-            ([], "index file contains no documents"),
+            ([], "corpus file contains no documents"),
         ],
         ids=["duplicate-id", "non-string-text", "non-object-entry", "empty-id", "no-docs"],
     )
