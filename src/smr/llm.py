@@ -23,6 +23,7 @@ from typing import Any, Protocol, Sequence
 import numpy as np
 
 from .errors import EndpointConfigError, ScriptExhaustedError, TransportError
+from .retrieval import json_vector
 
 # The transport policy, read at call time: seconds per request (and the cap
 # on a Retry-After wait), retries after the first attempt, and the first
@@ -233,7 +234,7 @@ class HttpBackend:
 
 
 class HttpEmbedder:
-    """Client for an OpenAI-style embeddings endpoint; returns unit vectors."""
+    """Client for an OpenAI-style embeddings endpoint; returns the vector as sent."""
 
     def __init__(self, endpoint: str, model: str, api_key: str | None = None):
         self.endpoint = _check_endpoint(endpoint)
@@ -246,10 +247,7 @@ class HttpEmbedder:
             raw = body["data"][0]["embedding"]
         except (KeyError, IndexError, TypeError) as exc:
             raise TransportError(f"embedding response missing data[0].embedding: {exc}") from exc
-        vec = np.asarray(raw, dtype=np.float64)
-        if vec.ndim != 1 or vec.size == 0:
+        vec = json_vector(raw)
+        if vec is None or not np.isfinite(vec).all():
             raise TransportError("embedding endpoint returned a malformed vector")
-        norm = float(np.linalg.norm(vec))
-        if norm > 0.0:
-            vec = vec / norm
-        return vec
+        return np.asarray(vec, dtype=np.float64)

@@ -78,14 +78,25 @@ def build_index(corpus: Iterable[Document]) -> dict[str, Document]:
     return doc_store
 
 
+class RowError(ValueError):
+    """A DenseStore row that cannot be normalized; row is its position."""
+
+    def __init__(self, message: str, row: int):
+        super().__init__(message)
+        self.row = row
+
+
 @dataclass(frozen=True, eq=False)
 class DenseStore:
-    """Unit-normalized document embeddings: row p of matrix is ids[p]'s vector.
+    """Document embeddings: row p of matrix is ids[p]'s raw row over its norm.
 
-    The matrix is one C-contiguous float64 (N, dim) array and the source of
-    truth for every score; matrix32 is a float32 copy derived from it, which
-    dense_search scans to pick candidates (N * dim * 4 more bytes).  rank[p]
-    is ids[p]'s place in sorted(ids).
+    It is made from (N, dim) raw rows, an array or a list of rows, which it
+    copies and divides; a row that cannot be divided by its norm raises
+    RowError.  The ids must be distinct, which load_dense_store checks.  Then
+    matrix is one C-contiguous float64 (N, dim) array and the source of truth
+    for every score; matrix32, a float32 copy of it, is what dense_search
+    scans to pick candidates (N * dim * 4 more bytes).  rank[p] is ids[p]'s
+    place in sorted(ids).
     """
 
     ids: tuple[str, ...]
@@ -94,54 +105,25 @@ class DenseStore:
     rank: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
-        matrix = np.ascontiguousarray(self.matrix, dtype=np.float64)
-        object.__setattr__(self, "matrix", matrix)
+        matrix = np.array(self.matrix, dtype=np.float64, order="C")  # a copy, divided in place
         if matrix.ndim != 2 or matrix.shape[0] != len(self.ids) or matrix.size == 0:
             raise ValueError(f"matrix has shape {matrix.shape}, expected ({len(self.ids)}, dim), both >= 1")
-        if len(set(self.ids)) != len(self.ids):
-            raise ValueError("dense store ids must be distinct")
         norms = np.sqrt(np.einsum("ij,ij->i", matrix, matrix))
-        off = np.flatnonzero(~(np.abs(norms - 1.0) <= 1e-6))  # a NaN norm is off too
-        if off.size:
-            p = off[0]
-            raise ValueError(f"vector for {self.ids[p]!r} is not unit-normalized (norm={norms[p]})")
+        # A norm under 2**-511 has a square below the smallest normal float,
+        # which lost bits to underflow; one that overflows is inf.
+        bad = np.flatnonzero(~((norms >= 2.0**-511) & (norms < np.inf)))
+        if bad.size:
+            p = int(bad[0])
+            what = (
+                "holds a non-finite value" if not np.isfinite(matrix[p]).all()
+                else "is all zeros and cannot be normalized" if not matrix[p].any()
+                else f"has a norm too {'large' if norms[p] > 1 else 'small'} to normalize"
+            )
+            raise RowError(f"vector for {self.ids[p]!r} {what}", p)
+        matrix /= norms[:, None]
+        object.__setattr__(self, "matrix", matrix)
         object.__setattr__(self, "matrix32", matrix.astype(np.float32))
         object.__setattr__(self, "rank", _sorted_rank(self.ids))
-
-    @property
-    def dim(self) -> int:
-        return self.matrix.shape[1]
-
-
-def build_dense_store(entries: Iterable[tuple[str, Iterable[float]]]) -> DenseStore:
-    """Build a store from raw (doc_id, vector) pairs, normalizing each vector."""
-    rows: dict[str, np.ndarray] = {}
-    dim: int | None = None
-    for doc_id, raw in entries:
-        if doc_id in rows:
-            raise CorpusError(f"duplicate doc_id in embeddings: {doc_id!r}")
-        vec = np.asarray(raw if isinstance(raw, np.ndarray) else list(raw), dtype=np.float64)
-        if vec.ndim != 1 or vec.size == 0:
-            raise CorpusError(f"vector for {doc_id!r} must be a non-empty flat list")
-        if dim is None:
-            dim = int(vec.size)
-        elif vec.size != dim:
-            raise CorpusError(
-                f"vector for {doc_id!r} has {vec.size} dimensions, expected {dim}"
-            )
-        rows[doc_id] = vec
-    if dim is None:
-        raise CorpusError("embeddings input is empty")
-    ids = tuple(rows)
-    matrix = np.stack(list(rows.values()))
-    norms = np.sqrt(np.einsum("ij,ij->i", matrix, matrix))
-    bad = np.flatnonzero((norms == 0.0) | ~np.isfinite(norms))
-    if bad.size:
-        p = bad[0]
-        what = "is all zeros and cannot be normalized" if norms[p] == 0.0 else "holds a non-finite value"
-        raise CorpusError(f"vector for {ids[p]!r} {what}")
-    matrix /= norms[:, None]
-    return DenseStore(ids=ids, matrix=matrix)
 
 
 def dense_search(store: DenseStore, query_vector: Iterable[float], k: int) -> RankedList:
@@ -155,15 +137,15 @@ def dense_search(store: DenseStore, query_vector: Iterable[float], k: int) -> Ra
     """
     if k < 1:
         raise ValueError("k must be >= 1")
+    n, dim = store.matrix.shape
     q = np.asarray(query_vector if isinstance(query_vector, np.ndarray) else list(query_vector), dtype=np.float64)
-    if q.shape != (store.dim,):
-        raise ValueError(f"query vector has shape {q.shape}, store expects ({store.dim},)")
+    if q.shape != (dim,):
+        raise ValueError(f"query vector has shape {q.shape}, store expects ({dim},)")
     if not np.isfinite(q).all():
         raise ValueError("query vector holds a non-finite value")
     norm = float(np.linalg.norm(q))
     if norm > 0.0:
         q = q / norm
-    n = len(store.ids)
     matrix, positions = store.matrix, np.arange(n)
     if k < n:
         # e bounds |float32 score - float64 score| for every row.  Rounding m
@@ -174,7 +156,7 @@ def dense_search(store: DenseStore, query_vector: Iterable[float], k: int) -> Ra
         # 2**22 the sum is under (dim + 4) * 2**-23, which has 2x slack.
         # Underflow adds at most 2**-150 per float32 rounding, 3 per element;
         # dim * 2**-146 covers it.
-        e = (store.dim + 4) * 2.0**-23 + store.dim * 2.0**-146
+        e = (dim + 4) * 2.0**-23 + dim * 2.0**-146
         approx = np.einsum("ij,j->i", store.matrix32, q.astype(np.float32))
         t = float(np.partition(approx, n - k)[n - k])
         # A row of the exact top k, ties with the k-th included, scores at
@@ -324,25 +306,42 @@ def load_corpus(path: str) -> list[Document]:
     return docs
 
 
-def load_dense_store(path: str, embed_endpoint: str | None = None) -> DenseStore:
-    """Read a JSONL embedding file of {"doc_id": ..., "vector": [...]} records.
+def json_vector(value: object) -> np.ndarray | None:
+    """value as a 1-D integer or float array if it is a non-empty JSON list of numbers,
+    else None.  Other JSON values, and integers past 64 bits, infer another shape or dtype."""
+    try:
+        row = np.array(value)
+    except ValueError:  # nested lists of unequal lengths
+        return None
+    return row if row.ndim == 1 and row.size and row.dtype.kind in "iuf" else None
 
-    embed_endpoint is accepted for existing callers and not used.
-    """
-    entries: list[tuple[str, np.ndarray]] = []
+
+def load_dense_store(path: str, embed_endpoint: str | None = None) -> DenseStore:
+    """Read a JSONL file of {"doc_id": str, "vector": [number, ...]} records.
+    A bad record, or a row DenseStore rejects, raises CorpusError naming file
+    and line.  embed_endpoint is accepted for existing callers and not used."""
+    rows: list[np.ndarray] = []
+    lines: dict[str, int] = {}  # doc_id to line number, in file order
     with open_input(path, "embeddings", CorpusError) as fh:
         for lineno, record in iter_jsonl(fh, path, CorpusError, frozenset({"doc_id", "vector"})):
             doc_id, vector = record["doc_id"], record["vector"]
-            if not isinstance(doc_id, str) or not isinstance(vector, list):
-                raise CorpusError(f"{path}: line {lineno}: doc_id must be a string, vector a list")
-            try:
-                entries.append((doc_id, np.array(vector, dtype=np.float64)))
-            except (TypeError, ValueError, OverflowError):
-                raise CorpusError(f"{path}: line {lineno}: vector must be a list of numbers") from None
+            if not isinstance(doc_id, str):
+                raise CorpusError(f"{path}: line {lineno}: doc_id must be a string")
+            row = json_vector(vector)
+            if row is None:
+                raise CorpusError(f"{path}: line {lineno}: vector must be a non-empty list of numbers")
+            if rows and row.size != rows[0].size:
+                raise CorpusError(f"{path}: line {lineno}: vector has {row.size} dimensions, expected {rows[0].size}")
+            if doc_id in lines:
+                raise CorpusError(f"{path}: line {lineno}: duplicate doc_id {doc_id!r}")
+            lines[doc_id] = lineno
+            rows.append(row)
+    if not rows:
+        raise CorpusError(f"{path}: embeddings file contains no vectors")
     try:
-        return build_dense_store(entries)
-    except CorpusError as exc:
-        raise CorpusError(f"{path}: {exc}") from exc
+        return DenseStore(ids=tuple(lines), matrix=rows)
+    except RowError as exc:
+        raise CorpusError(f"{path}: line {list(lines.values())[exc.row]}: {exc}") from None
 
 
 def save_index(doc_store: Mapping[str, Document], path: str) -> None:

@@ -332,7 +332,7 @@ class TestRunCommand:
         store = tmp_path / "store.jsonl"
         store.write_text('{"doc_id": "a", "vector": [1' + "0" * 400 + ", 0]}\n")
         assert main(["run", "--config", str(config)]) == 1
-        assert capsys.readouterr().err == f"error: {store}: line 1: vector must be a list of numbers\n"
+        assert capsys.readouterr().err == f"error: {store}: line 1: vector must be a non-empty list of numbers\n"
 
     def test_unknown_engine_key_rejected(self, tmp_path, capsys):
         config = build_workspace(tmp_path, engine_block={"step_limit": 4})

@@ -11,6 +11,7 @@ from datetime import datetime, timedelta, timezone
 from email.utils import format_datetime
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import smr
@@ -305,12 +306,23 @@ def test_runs_without_requests_installed(endpoint):
 
 
 class TestHttpEmbedder:
-    def test_returns_unit_vector(self, endpoint):
-        endpoint.push({"data": [{"embedding": [3.0, 4.0]}]})
+    def test_returns_vector_as_sent(self, endpoint):
+        # dense_search normalizes the query; the embedder leaves it as it is.
+        endpoint.push({"data": [{"embedding": [3.0, 4]}]})
         embedder = HttpEmbedder(endpoint.url, "embed-model")
         vec = embedder("some text")
-        assert vec.tolist() == pytest.approx([0.6, 0.8])
+        assert vec.dtype == np.float64 and vec.tolist() == [3.0, 4.0]
         assert endpoint.received[0]["input"] == ["some text"]
+
+    @pytest.mark.parametrize(
+        "embedding",
+        [b'["0.6", "0.8"]', b"[NaN, 1]", b"[1, Infinity]", b"[true, false]", b"[null, 1]", b"[[0.6, 0.8]]", b"[]", b'"0.6"'],
+    )
+    def test_embedding_not_finite_json_numbers_rejected(self, endpoint, embedding):
+        endpoint.push(b'{"data": [{"embedding": ' + embedding + b"}]}")
+        embedder = HttpEmbedder(endpoint.url, "embed-model")
+        with pytest.raises(TransportError, match="^embedding endpoint returned a malformed vector$"):
+            embedder("text")
 
     def test_malformed_embedding_response(self, endpoint):
         endpoint.push({"data": []})

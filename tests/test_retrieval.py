@@ -17,7 +17,7 @@ from smr.retrieval import (
     Bm25Retriever,
     DenseRetriever,
     DenseStore,
-    build_dense_store,
+    RowError,
     build_index,
     dense_search,
     load_corpus,
@@ -342,48 +342,71 @@ def test_index_arrays_bit_identical_to_reference_csr(texts):
 
 class TestDense:
     def test_identity_query_ranks_first_with_similarity_one(self):
-        store = build_dense_store([("d1", [1.0, 0.0]), ("d2", [0.0, 1.0])])
+        store = DenseStore(ids=("d1", "d2"), matrix=[[1.0, 0.0], [0.0, 1.0]])
         result = dense_search(store, [1.0, 0.0], 2)
         assert list(result.entries) == ["d1", "d2"]
 
     def test_orthogonal_vector_scores_zero_but_still_ranks(self):
-        store = build_dense_store([("d1", [1.0, 0.0])])
+        store = DenseStore(ids=("d1",), matrix=[[1.0, 0.0]])
         result = dense_search(store, [0.0, 1.0], 1)
         assert list(result.entries) == ["d1"]
 
     def test_matches_exhaustive_oracle(self):
         rng = random.Random(7)
         vectors = {f"d{i}": [rng.gauss(0, 1) for _ in range(4)] for i in range(5)}
-        store = build_dense_store(vectors.items())
+        store = DenseStore(ids=tuple(vectors), matrix=list(vectors.values()))
         query = [rng.gauss(0, 1) for _ in range(4)]
         expected = oracle_dense_ranking(vectors, query, 3)
         assert list(dense_search(store, query, 3).entries) == expected
 
     def test_dimension_mismatch_rejected(self):
-        store = build_dense_store([("d1", [1.0, 0.0])])
+        store = DenseStore(ids=("d1",), matrix=[[1.0, 0.0]])
         with pytest.raises(ValueError, match="shape"):
             dense_search(store, [1.0, 0.0, 0.0], 1)
 
     def test_non_finite_query_rejected(self):
-        store = build_dense_store([("d1", [1.0, 0.0])])
+        store = DenseStore(ids=("d1",), matrix=[[1.0, 0.0]])
         with pytest.raises(ValueError, match="non-finite"):
             dense_search(store, [float("nan"), 1.0], 1)
 
     def test_ties_break_by_doc_id(self):
-        store = build_dense_store([("b", [1.0, 0.0]), ("a", [1.0, 0.0])])
+        store = DenseStore(ids=("b", "a"), matrix=[[1.0, 0.0], [1.0, 0.0]])
         assert list(dense_search(store, [1.0, 0.0], 2).entries) == ["a", "b"]
 
     def test_build_normalizes(self):
-        store = build_dense_store([("d1", [3.0, 4.0])])
-        assert float(np.linalg.norm(store.matrix[store.ids.index("d1")])) == pytest.approx(1.0)
-
-    def test_mixed_dimensions_rejected(self):
-        with pytest.raises(CorpusError, match="dimensions"):
-            build_dense_store([("d1", [1.0, 0.0]), ("d2", [1.0, 0.0, 0.0])])
+        rows = np.asfortranarray([[3.0, 4.0], [2.0, 0.0]])
+        store = DenseStore(ids=("d1", "d2"), matrix=rows)
+        assert store.matrix.tolist() == [[0.6, 0.8], [1.0, 0.0]]
+        assert store.matrix.flags["C_CONTIGUOUS"] and store.matrix.dtype == np.float64
+        assert store.matrix32.tolist() == store.matrix.astype(np.float32).tolist()
+        assert rows.tolist() == [[3.0, 4.0], [2.0, 0.0]]  # the caller's rows are left as they were
 
     def test_zero_vector_rejected(self):
-        with pytest.raises(CorpusError, match="zero"):
-            build_dense_store([("d1", [0.0, 0.0])])
+        with pytest.raises(RowError, match="^vector for 'd2' is all zeros and cannot be normalized$") as caught:
+            DenseStore(ids=("d1", "d2"), matrix=[[1.0, 0.0], [0.0, 0.0]])
+        assert caught.value.row == 1
+
+    @pytest.mark.parametrize(
+        "row, what",
+        [
+            ([math.nan, 1.0], "holds a non-finite value"),
+            ([1.0, -math.inf], "holds a non-finite value"),
+            ([1e200, 1e200], "has a norm too large to normalize"),
+            ([1e-160, 0.0], "has a norm too small to normalize"),
+            ([1e-200, 0.0], "has a norm too small to normalize"),
+        ],
+        ids=["nan", "infinity", "overflowing-square", "subnormal-square", "underflowing-square"],
+    )
+    def test_store_rejects_rows_it_cannot_normalize(self, row, what):
+        # A square below the smallest normal float keeps too few bits for the
+        # row to come out of the division with unit norm.
+        with pytest.raises(RowError, match=f"^vector for 'd3' {what}$") as caught:
+            DenseStore(ids=("d1", "d2", "d3"), matrix=[[1.0, 0.0], [0.0, 1.0], row])
+        assert caught.value.row == 2
+
+    def test_store_keeps_the_smallest_accurate_norm(self):
+        store = DenseStore(ids=("d1",), matrix=[[2.0**-511, 0.0]])
+        assert store.matrix.tolist() == [[1.0, 0.0]]
 
     def test_identical_vectors_come_back_adjacent_by_doc_id(self):
         # Copies of one Gaussian vector at scattered rows must score exactly
@@ -396,7 +419,7 @@ class TestDense:
             copies = rng.choice(n, size=int(rng.integers(2, min(n, 6) + 1)), replace=False)
             matrix[copies] = rng.standard_normal(dim)
             ids = [f"d{i:03d}" for i in rng.permutation(n)]
-            store = build_dense_store(zip(ids, matrix))
+            store = DenseStore(ids=tuple(ids), matrix=matrix)
             ranked = list(dense_search(store, matrix[copies[0]], n).entries)
             units = matrix / np.linalg.norm(matrix, axis=1, keepdims=True)
             # With dim 1 every row of the same sign is a copy too.
@@ -411,19 +434,23 @@ class TestDense:
                 )
 
     def test_rows_one_ulp_apart_rank_by_their_float64_scores(self):
-        # Rows 0-4 step 1 ulp at a time in their first coordinate, which is
-        # their score; float32 cannot tell them apart.  Their ids ascend with
-        # their scores, so ranking by the float32 scan and then by doc_id
+        # Rows 0-4 are (x, sqrt(1 - x**2)) with x stepping 1 ulp at a time up
+        # from 0.6; x is their score and float32 cannot tell them apart.
+        # Division by their norms leaves them as they are.  Their ids ascend
+        # with their scores, so ranking by the float32 scan and then by doc_id
         # would give the reverse of the float64 order.
-        first = 0.6
-        near = []
+        near, x = [], 0.6
         for _ in range(5):
-            near.append([first, 0.8])
-            first = float(np.nextafter(first, 1.0))
-        far = [[float(np.cos(a)), float(np.sin(a))] for a in np.linspace(2.0, 3.0, 20)]
+            near.append([x, math.sqrt(1.0 - x * x)])
+            x = float(np.nextafter(x, 1.0))
+        # Rows far below them, from the spread angles the store keeps as they are.
+        far = [[-c, math.sqrt(1.0 - c * c)] for c in np.linspace(0.1, 0.99, 40).tolist()]
+        far = [row for row in far if DenseStore(ids=("f",), matrix=[row]).matrix.tolist() == [row]][:20]
+        assert len(far) == 20
         matrix = np.array(near + far)
         ids = tuple(f"n{i}" for i in range(5)) + tuple(f"f{i:02d}" for i in range(20))
         store = DenseStore(ids=ids, matrix=matrix)
+        assert np.array_equal(store.matrix, matrix)
         query = np.array([1.0, 0.0])
         approx = np.einsum("ij,j->i", store.matrix32[:5], query.astype(np.float32))
         assert len(set(approx.tolist())) == 1
@@ -437,17 +464,13 @@ class TestDense:
         rng = np.random.default_rng(5)
         for dim in (1, 2, 3, 7, 8, 15, 16, 17, 255, 256, 257):
             matrix = rng.standard_normal((300, dim))
-            store = build_dense_store(zip([f"d{i}" for i in range(300)], matrix))
+            store = DenseStore(ids=tuple(f"d{i}" for i in range(300)), matrix=matrix)
             q = rng.standard_normal(dim)
             full = np.einsum("ij,j->i", store.matrix, q)
             for size in (1, 2, 3, 25, 299):
                 positions = np.sort(rng.choice(300, size=size, replace=False))
                 gathered = np.einsum("ij,j->i", store.matrix[positions], q)
                 assert np.array_equal(gathered, full[positions]), f"dim={dim} size={size}"
-
-    def test_store_validates_unit_norm(self):
-        with pytest.raises(ValueError, match="unit"):
-            DenseStore(ids=("d1",), matrix=np.array([[2.0, 0.0]]))
 
 
 @settings(max_examples=150)
@@ -465,7 +488,7 @@ def test_dense_search_matches_oracle_on_integer_vectors(data, rnd):
     ids = [f"d{i:02d}" for i in range(len(rows))]
     rnd.shuffle(ids)
     vectors = {doc_id: [float(x) for x in row] for doc_id, row in zip(ids, rows)}
-    store = build_dense_store(vectors.items())
+    store = DenseStore(ids=tuple(vectors), matrix=list(vectors.values()))
     query = [float(x) for x in query]
     cosines = {  # up to the query's norm, which every document shares
         doc_id: math.fsum(a * b for a, b in zip(vec, query)) / math.sqrt(math.fsum(a * a for a in vec))
@@ -500,7 +523,7 @@ def test_dense_search_equals_exhaustive_einsum_ranking(dim, n, k, rows, zero_que
         if rows != "gaussian":
             matrix = matrix[0] + rows * matrix
     ids = [f"d{i:02d}" for i in rng.permutation(n)]
-    store = build_dense_store(zip(ids, matrix))
+    store = DenseStore(ids=tuple(ids), matrix=matrix)
     scale = rows if isinstance(rows, float) else 1.0
     query = np.zeros(dim) if zero_query else matrix[0] + scale * rng.standard_normal(dim)
     expected = exhaustive_dense_ranking(store.ids, store.matrix, query, k)
@@ -546,7 +569,7 @@ class TestLoaders:
             '{"doc_id": "d1", "vector": [1.0, 0.0]}\n{"doc_id": "d2", "vector": [0.0, 2.0]}\n'
         )
         store = load_dense_store(str(path))
-        assert store.dim == 2 and set(store.ids) == {"d1", "d2"}
+        assert store.matrix.shape == (2, 2) and set(store.ids) == {"d1", "d2"}
 
     def test_embeddings_error_cites_line(self, tmp_path):
         path = tmp_path / "emb.jsonl"
@@ -555,14 +578,88 @@ class TestLoaders:
             load_dense_store(str(path))
 
     @pytest.mark.parametrize(
-        "vector, message",
-        [('["a", 1.0]', "line 2: vector must be a list of numbers"), ("[null, 1.0]", "'d2' holds a non-finite value")],
+        "line, message",
+        [
+            ('{"doc_id": "d1", "vector": [0.0, 1.0]}', "line 3: duplicate doc_id 'd1'"),
+            ('{"doc_id": "d2", "vector": [1.0, 0.0, 0.0]}', "line 3: vector has 3 dimensions, expected 2"),
+            ('{"doc_id": "d2", "vector": [0.0, 0]}', "line 3: vector for 'd2' is all zeros and cannot be normalized"),
+            ('{"doc_id": "d2", "vector": [NaN, 1.0]}', "line 3: vector for 'd2' holds a non-finite value"),
+            ('{"doc_id": "d2", "vector": [1.0, -Infinity]}', "line 3: vector for 'd2' holds a non-finite value"),
+            ('{"doc_id": "d2", "vector": [1e200, 1e200]}', "line 3: vector for 'd2' has a norm too large to normalize"),
+            ('{"doc_id": "d2", "vector": [1e-200, 0.0]}', "line 3: vector for 'd2' has a norm too small to normalize"),
+            ('{"doc_id": "d2", "vector": [null, 1.0]}', "line 3: vector must be a non-empty list of numbers"),
+            ('{"doc_id": "d2", "vector": ["0.6", "0.8"]}', "line 3: vector must be a non-empty list of numbers"),
+            ('{"doc_id": "d2", "vector": [true, false]}', "line 3: vector must be a non-empty list of numbers"),
+            ('{"doc_id": "d2", "vector": [1, 18446744073709551616]}', "line 3: vector must be a non-empty list of numbers"),
+            ('{"doc_id": "d2", "vector": [[1.0, 0.0]]}', "line 3: vector must be a non-empty list of numbers"),
+            ('{"doc_id": "d2", "vector": [[1.0], [0.0, 1.0]]}', "line 3: vector must be a non-empty list of numbers"),
+            ('{"doc_id": "d2", "vector": "0.6 0.8"}', "line 3: vector must be a non-empty list of numbers"),
+            ('{"doc_id": "d2", "vector": []}', "line 3: vector must be a non-empty list of numbers"),
+            ('{"doc_id": 2, "vector": [1.0, 0.0]}', "line 3: doc_id must be a string"),
+        ],
+        ids=[
+            "repeated-id", "dimension-mismatch", "zero", "nan", "infinity", "huge-norm", "tiny-norm", "null",
+            "strings", "booleans", "integer-past-64-bits", "nested", "ragged", "non-list", "empty", "integer-id",
+        ],
     )
-    def test_embeddings_bad_numbers_named(self, tmp_path, vector, message):
+    def test_embeddings_errors_name_file_and_line(self, tmp_path, line, message):
+        # The bad record is the second vector, on line 3, so its row (1) and
+        # its line differ.
         path = tmp_path / "emb.jsonl"
-        path.write_text(f'{{"doc_id": "d1", "vector": [1.0, 0.0]}}\n{{"doc_id": "d2", "vector": {vector}}}\n')
-        with pytest.raises(CorpusError, match=f"^{path}: .*{message}$"):
+        path.write_text(f'{{"doc_id": "d1", "vector": [1.0, 0.0]}}\n\n{line}\n{{"doc_id": "d9", "vector": [1, 1]}}\n')
+        with pytest.raises(CorpusError) as caught:
             load_dense_store(str(path))
+        assert str(caught.value) == f"{path}: {message}"
+
+    def test_empty_embeddings_file_rejected(self, tmp_path):
+        path = tmp_path / "emb.jsonl"
+        path.write_text("\n \n")
+        with pytest.raises(CorpusError) as caught:
+            load_dense_store(str(path))
+        assert str(caught.value) == f"{path}: embeddings file contains no vectors"
+
+    @settings(max_examples=200)
+    @given(
+        st.integers(1, 5).flatmap(
+            lambda dim: st.lists(
+                st.lists(
+                    st.one_of(
+                        st.floats(allow_nan=False, allow_infinity=False),
+                        st.integers(-(2**63), 2**64 - 1),
+                        st.sampled_from([0, 0.0, -0.0, 1e-160, 5e-324]),
+                    ),
+                    min_size=dim,
+                    max_size=dim,
+                ),
+                min_size=1,
+                max_size=8,
+            )
+        ),
+        st.lists(st.booleans(), min_size=8, max_size=8),
+    )
+    def test_loaded_file_equals_store_built_from_its_rows(self, tmp_path_factory, rows, blank_before):
+        # Integers and floats as JSON writes them, with blank lines before some
+        # records; a row the store rejects must be named by its line.
+        path = tmp_path_factory.mktemp("emb") / "emb.jsonl"
+        ids = tuple(f"d{i}" for i in range(len(rows)))
+        text, lines = "", []
+        for doc_id, row, blank in zip(ids, rows, blank_before):
+            text += "\n" * blank
+            lines.append(text.count("\n") + 1)
+            text += json.dumps({"doc_id": doc_id, "vector": row}) + "\n"
+        path.write_text(text)
+        try:
+            expected = DenseStore(ids=ids, matrix=np.array(rows, dtype=np.float64))
+        except RowError as exc:
+            with pytest.raises(CorpusError) as caught:
+                load_dense_store(str(path))
+            assert str(caught.value) == f"{path}: line {lines[exc.row]}: {exc}"
+            return
+        loaded = load_dense_store(str(path))
+        assert loaded.ids == expected.ids
+        assert loaded.matrix.tobytes() == expected.matrix.tobytes()
+        assert loaded.matrix32.tobytes() == expected.matrix32.tobytes()
+        assert loaded.rank.tolist() == expected.rank.tolist()
 
     def test_index_save_load_round_trip(self, tmp_path):
         texts = {"d1": "apple banana", "d2": "banana cherry", "d3": "date"}
@@ -628,12 +725,12 @@ class TestRetrieverAdapters:
         assert retriever.doc_store["d2"].text == "banana"
 
     def test_dense_adapter_embeds_queries(self):
-        store = build_dense_store([("d1", [1.0, 0.0]), ("d2", [0.0, 1.0])])
+        store = DenseStore(ids=("d1", "d2"), matrix=[[1.0, 0.0], [0.0, 1.0]])
         doc_store = {d.doc_id: d for d in docs_from({"d1": "one", "d2": "two"})}
         retriever = DenseRetriever(store, doc_store, embed=lambda text: [0.0, 1.0])
         assert list(retriever.search("anything", 1).entries) == ["d2"]
 
     def test_dense_adapter_requires_texts_for_all_vectors(self):
-        store = build_dense_store([("d1", [1.0, 0.0])])
+        store = DenseStore(ids=("d1",), matrix=[[1.0, 0.0]])
         with pytest.raises(CorpusError, match="d1"):
             DenseRetriever(store, {}, embed=lambda text: [1.0, 0.0])
