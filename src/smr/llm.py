@@ -9,11 +9,12 @@ replays canned responses for deterministic offline runs.  Only generated
 from __future__ import annotations
 
 import email.utils
+import functools
 import http.client
 import json
 import logging
+import random
 import time
-import urllib.error
 import urllib.parse
 import urllib.request
 from dataclasses import dataclass
@@ -25,9 +26,10 @@ import numpy as np
 from .errors import EndpointConfigError, ScriptExhaustedError, TransportError
 from .retrieval import json_vector
 
-# The transport policy, read at call time: seconds per request (and the cap
-# on a Retry-After wait), retries after the first attempt, and the first
-# backoff, doubled on each later retry.
+# The transport policy, read at call time: seconds per connect and per read
+# (and the cap on a Retry-After wait), retries after the first attempt, and the
+# first backoff, doubled on each later retry; each backoff sleeps a uniform
+# draw from half to all of its delay.
 TIMEOUT = 60.0
 MAX_RETRIES = 3
 BACKOFF_START = 0.5
@@ -95,14 +97,6 @@ class ScriptedBackend:
         return ChatResponse(text=text, output_tokens=count_fallback_tokens(text))
 
 
-def _json_headers(api_key: str | None) -> dict[str, str]:
-    """Request headers for a JSON endpoint, with a bearer token when a key is set."""
-    headers = {"Content-Type": "application/json"}
-    if api_key:
-        headers["Authorization"] = f"Bearer {api_key}"
-    return headers
-
-
 def _check_endpoint(url: str) -> str:
     """Return ``url`` if it is an http(s) URL with a host; otherwise fail before any request."""
     try:
@@ -115,14 +109,12 @@ def _check_endpoint(url: str) -> str:
     return url
 
 
-def _retry_after(value: str | None) -> float | None:
+def _retry_after(reply: http.client.HTTPMessage) -> float | None:
     """Seconds a ``Retry-After`` header asks for, clamped to [0, TIMEOUT]; None if absent or unreadable.
 
     RFC 9110 section 10.2.3 allows delta-seconds or an HTTP-date.
     """
-    if value is None:
-        return None
-    value = value.strip()
+    value = reply.get("Retry-After", "").strip()
     if value.isascii() and value.isdigit():
         seconds = float(value)
     else:
@@ -136,18 +128,18 @@ def _retry_after(value: str | None) -> float | None:
     return min(max(seconds, 0.0), TIMEOUT)
 
 
-def _post_once(url: str, data: bytes, headers: dict[str, str]) -> tuple[int, bytes, str | None]:
-    """One POST over a fresh connection: (status, body, Retry-After header).
+@functools.cache
+def _opener() -> urllib.request.OpenerDirector:
+    """The opener every POST goes through, built at the first: it reads the proxies then.
 
-    A transport fault raises ``OSError`` or ``http.client.HTTPException``.
+    It holds no reply processor, so it raises for no status and follows no
+    redirect; a scheme it has no handler for (a socks5 proxy, say) fails.
     """
-    request = urllib.request.Request(url, data=data, headers=headers, method="POST")
-    try:
-        with urllib.request.urlopen(request, timeout=TIMEOUT) as resp:
-            return resp.status, resp.read(), None
-    except urllib.error.HTTPError as exc:
-        with exc:
-            return exc.code, exc.read(), exc.headers.get("Retry-After")
+    opener = urllib.request.OpenerDirector()
+    for handler in (urllib.request.ProxyHandler(), urllib.request.UnknownHandler(),
+                    urllib.request.HTTPHandler(), urllib.request.HTTPSHandler()):
+        opener.add_handler(handler)
+    return opener
 
 
 def post_json_with_retry(url: str, payload: dict[str, Any], headers: dict[str, str]) -> dict[str, Any]:
@@ -156,26 +148,32 @@ def post_json_with_retry(url: str, payload: dict[str, Any], headers: dict[str, s
     Transient failures (connection errors, timeouts, 408, 429, 5xx, any
     other non-200 status, unparseable bodies) are retried with exponential
     backoff, or after the wait a 408, 429 or 503 names in ``Retry-After``;
-    any other 4xx response is a configuration problem and fails immediately.
+    a redirect or any other 4xx response is a configuration problem and
+    fails immediately.
     """
     data = json.dumps(payload).encode("utf-8")
     attempts = MAX_RETRIES + 1
     last_error: Exception | None = None
     for attempt in range(attempts):
-        delay = BACKOFF_START * 2**attempt
+        delay = BACKOFF_START * 2**attempt * random.uniform(0.5, 1.0)
+        # A new request each attempt: a proxy handler rewrites the one it sends.
+        request = urllib.request.Request(url, data=data, headers=headers, method="POST")
         try:
-            status, raw, retry_after = _post_once(url, data, headers)
+            with _opener().open(request, timeout=TIMEOUT) as resp:
+                status, raw, reply = resp.status, resp.read(), resp.headers
         except ValueError as exc:  # http.client refused a header before sending anything
             raise EndpointConfigError(f"request to {url} could not be sent: {exc}") from None
         except (OSError, http.client.HTTPException) as exc:
             last_error = exc
         else:
-            if 400 <= status < 500 and status not in _TRANSIENT_4XX:
-                text = raw.decode("utf-8", errors="replace")
-                raise EndpointConfigError(f"endpoint rejected request with HTTP {status}: {text[:200]}")
+            if 300 <= status < 500 and status not in _TRANSIENT_4XX:
+                text = raw.decode("utf-8", errors="replace")[:200]
+                if status < 400:
+                    text = f"redirect to {reply.get('Location')!r} not followed"
+                raise EndpointConfigError(f"endpoint rejected request with HTTP {status}: {text}")
             if status != 200:
                 last_error = TransportError(f"endpoint returned HTTP {status}")
-                if status in _RETRY_AFTER_STATUSES and (wait := _retry_after(retry_after)) is not None:
+                if status in _RETRY_AFTER_STATUSES and (wait := _retry_after(reply)) is not None:
                     delay = wait
             else:
                 try:
@@ -196,13 +194,19 @@ def post_json_with_retry(url: str, payload: dict[str, Any], headers: dict[str, s
     raise TransportError(f"request to {url} failed after {attempts} attempts: {last_error}")
 
 
-class HttpBackend:
-    """Chat-completions client for an OpenAI-style JSON endpoint."""
+class _JsonClient:
+    """Endpoint, model and JSON headers (a bearer token when a key is set) for both clients."""
 
     def __init__(self, endpoint: str, model: str, api_key: str | None = None):
         self.endpoint = _check_endpoint(endpoint)
         self.model = model
-        self.headers = _json_headers(api_key)
+        self.headers = {"Content-Type": "application/json"}
+        if api_key:
+            self.headers["Authorization"] = f"Bearer {api_key}"
+
+
+class HttpBackend(_JsonClient):
+    """Chat-completions client for an OpenAI-style JSON endpoint."""
 
     def complete(self, request: ChatRequest) -> ChatResponse:
         messages = []
@@ -233,13 +237,8 @@ class HttpBackend:
         return ChatResponse(text=text, output_tokens=tokens)
 
 
-class HttpEmbedder:
+class HttpEmbedder(_JsonClient):
     """Client for an OpenAI-style embeddings endpoint; returns the vector as sent."""
-
-    def __init__(self, endpoint: str, model: str, api_key: str | None = None):
-        self.endpoint = _check_endpoint(endpoint)
-        self.model = model
-        self.headers = _json_headers(api_key)
 
     def __call__(self, text: str) -> np.ndarray:
         body = post_json_with_retry(self.endpoint, {"model": self.model, "input": [text]}, self.headers)

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import json
+import ssl
 import threading
 from http.server import BaseHTTPRequestHandler, HTTPServer
 from pathlib import Path
@@ -11,6 +12,9 @@ from smr.core import Document
 from smr.retrieval import Bm25Retriever, build_index
 
 DATA_DIR = Path(__file__).resolve().parent.parent / "data" / "toy"
+# A self-signed certificate for 127.0.0.1 and localhost, valid 2000-2100, for tests only.
+TEST_ONLY_CERT = Path(__file__).resolve().parent / "certs" / "test-only-localhost.crt"
+TEST_ONLY_KEY = TEST_ONLY_CERT.with_suffix(".key")
 
 
 def refine_json(query: str, reason: str | None = None) -> str:
@@ -48,14 +52,16 @@ def toy_retriever(toy_corpus) -> Bm25Retriever:
 
 
 class LocalEndpoint:
-    """Tiny chat-completions double running on a loopback port.
+    """Tiny chat-completions double running on a loopback port, over TLS with ``tls=True``.
 
     Responses are scripted with push(); each POST consumes one.  When the
     script is empty the server answers with a stop decision.  Received
     request payloads, and their headers, are recorded for assertions.
+    A GET is recorded and answered the same way, so a test sees a request
+    that should never have been sent.
     """
 
-    def __init__(self):
+    def __init__(self, tls: bool = False):
         self.responses: list[tuple[int, bytes, dict[str, str]]] = []
         self.received: list[dict] = []
         self.received_headers: list = []  # one email.message.Message per request; lookups ignore case
@@ -90,14 +96,21 @@ class LocalEndpoint:
                 self.end_headers()
                 self.wfile.write(payload)
 
+            do_GET = do_POST
+
             def log_message(self, *args):
                 pass
 
         self._server = HTTPServer(("127.0.0.1", 0), Handler)
+        if tls:
+            context = ssl.SSLContext(ssl.PROTOCOL_TLS_SERVER)
+            context.load_cert_chain(TEST_ONLY_CERT, TEST_ONLY_KEY)
+            # The handshake runs in accept(); a client that rejects the certificate never reaches the handler.
+            self._server.socket = context.wrap_socket(self._server.socket, server_side=True)
         # A short poll interval keeps shutdown() from waiting the default 0.5 s in every test.
         self._thread = threading.Thread(target=self._server.serve_forever, args=(0.05,), daemon=True)
         self._thread.start()
-        self.url = f"http://127.0.0.1:{self._server.server_port}/v1/chat/completions"
+        self.url = f"{'https' if tls else 'http'}://127.0.0.1:{self._server.server_port}/v1/chat/completions"
 
     def push(self, body: dict | bytes, status: int = 200, headers: dict[str, str] | None = None) -> None:
         payload = body if isinstance(body, bytes) else json.dumps(body).encode()
@@ -118,5 +131,12 @@ class LocalEndpoint:
 @pytest.fixture
 def endpoint():
     server = LocalEndpoint()
+    yield server
+    server.close()
+
+
+@pytest.fixture
+def tls_endpoint():
+    server = LocalEndpoint(tls=True)
     yield server
     server.close()

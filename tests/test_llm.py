@@ -4,17 +4,22 @@ import json
 import logging
 import os
 import re
+import select
+import socket
 import subprocess
 import sys
 import textwrap
+import threading
 from datetime import datetime, timedelta, timezone
 from email.utils import format_datetime
+from http.server import BaseHTTPRequestHandler, HTTPServer
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import smr
+from conftest import TEST_ONLY_CERT, LocalEndpoint
 from smr.errors import EndpointConfigError, ScriptExhaustedError, TransportError
 from smr.llm import (
     ChatRequest,
@@ -22,8 +27,20 @@ from smr.llm import (
     HttpBackend,
     HttpEmbedder,
     ScriptedBackend,
+    _opener,
     count_fallback_tokens,
 )
+
+
+@pytest.fixture(autouse=True)
+def fresh_opener(monkeypatch):
+    """Each test's first request builds a new opener, reading no proxy but the ones the test sets."""
+    for name in list(os.environ):
+        if name.lower().endswith("_proxy"):
+            monkeypatch.delenv(name)
+    _opener.cache_clear()
+    yield
+    _opener.cache_clear()
 
 
 @pytest.fixture
@@ -32,6 +49,24 @@ def sleeps(monkeypatch):
     recorded: list[float] = []
     monkeypatch.setattr("smr.llm.time.sleep", recorded.append)
     return recorded
+
+
+def inject_draw(monkeypatch, value: float) -> list[tuple[float, float]]:
+    """Make each backoff's jitter draw return ``value``; return the bounds it is drawn between."""
+    bounds: list[tuple[float, float]] = []
+
+    def uniform(low: float, high: float) -> float:
+        bounds.append((low, high))
+        return value
+
+    monkeypatch.setattr("smr.llm.random.uniform", uniform)
+    return bounds
+
+
+@pytest.fixture
+def full_backoff(monkeypatch):
+    """Draw the top of each jitter range, so the backoffs are 0.5, 1 and 2 s."""
+    return inject_draw(monkeypatch, 1.0)
 
 
 def make_request(**overrides) -> ChatRequest:
@@ -153,7 +188,7 @@ class TestHttpBackend:
         assert backend.complete(make_request()).text == "recovered"
         assert len(endpoint.received) == 2
 
-    def test_retries_exhausted_is_transport_error(self, endpoint, sleeps):
+    def test_retries_exhausted_is_transport_error(self, endpoint, sleeps, full_backoff):
         for _ in range(4):
             endpoint.push({"error": "down"}, status=500)
         backend = HttpBackend(endpoint.url, "m")
@@ -220,7 +255,8 @@ class TestEndpointUrl:
 
 class TestRetryAfter:
     @pytest.mark.parametrize("status", [408, 429, 503])
-    def test_delta_seconds_replace_backoff(self, endpoint, sleeps, status):
+    def test_delta_seconds_replace_backoff(self, endpoint, sleeps, monkeypatch, status):
+        inject_draw(monkeypatch, 0.5)  # the wait stays exact whatever the jitter draws
         endpoint.push({"error": "later"}, status=status, headers={"Retry-After": "7"})
         endpoint.push_chat("ok", completion_tokens=1)
         backend = HttpBackend(endpoint.url, "m")
@@ -255,7 +291,7 @@ class TestRetryAfter:
     @pytest.mark.parametrize(
         "status, value", [(503, "soon"), (503, "-3"), (503, "1.5"), (500, "7"), (502, "7")]
     )
-    def test_unreadable_or_other_status_keeps_backoff(self, endpoint, sleeps, status, value):
+    def test_unreadable_or_other_status_keeps_backoff(self, endpoint, sleeps, full_backoff, status, value):
         endpoint.push({"error": "later"}, status=status, headers={"Retry-After": value})
         endpoint.push_chat("ok", completion_tokens=1)
         HttpBackend(endpoint.url, "m").complete(make_request())
@@ -263,7 +299,8 @@ class TestRetryAfter:
 
 
 class TestRetryLogging:
-    def test_each_retry_logged_with_attempt_cause_and_sleep(self, endpoint, sleeps, caplog):
+    def test_each_retry_logged_with_attempt_cause_and_sleep(self, endpoint, sleeps, caplog, monkeypatch):
+        inject_draw(monkeypatch, 0.8)
         endpoint.push({"error": "overloaded"}, status=503)
         endpoint.push(b"this is not json")
         endpoint.push_chat("ok", completion_tokens=1)
@@ -272,10 +309,11 @@ class TestRetryLogging:
         records = [r for r in caplog.records if r.name == "smr.llm"]
         assert [r.levelno for r in records] == [logging.WARNING, logging.WARNING]
         first, second = (r.getMessage() for r in records)
-        assert "attempt 1/4" in first and "HTTP 503" in first and "0.50 s" in first
-        assert "attempt 2/4" in second and "JSONDecodeError" in second and "1.00 s" in second
+        assert "attempt 1/4" in first and "HTTP 503" in first and "0.40 s" in first
+        assert "attempt 2/4" in second and "JSONDecodeError" in second and "0.80 s" in second
+        assert sleeps == [0.4, 0.8]
 
-    def test_connection_error_logged_and_last_attempt_not(self, monkeypatch, sleeps, caplog):
+    def test_connection_error_logged_and_last_attempt_not(self, monkeypatch, sleeps, full_backoff, caplog):
         monkeypatch.setattr("smr.llm.MAX_RETRIES", 1)
         backend = HttpBackend("http://127.0.0.1:9/nope", "m")
         with caplog.at_level(logging.WARNING, logger="smr.llm"), pytest.raises(TransportError, match="2 attempts"):
@@ -329,3 +367,177 @@ class TestHttpEmbedder:
         embedder = HttpEmbedder(endpoint.url, "embed-model")
         with pytest.raises(TransportError):
             embedder("text")
+
+
+class TestBackoffJitter:
+    def test_each_backoff_drawn_from_half_to_all_of_its_delay(self, endpoint, sleeps, monkeypatch):
+        bounds = inject_draw(monkeypatch, 0.5)
+        for _ in range(4):
+            endpoint.push({"error": "down"}, status=500)
+        with pytest.raises(TransportError, match="4 attempts"):
+            HttpBackend(endpoint.url, "m").complete(make_request())
+        assert sleeps == [0.25, 0.5, 1.0]
+        assert set(bounds) == {(0.5, 1.0)}
+
+    def test_undrawn_sleeps_fall_in_their_ranges(self, endpoint, sleeps):
+        for _ in range(4):
+            endpoint.push({"error": "down"}, status=500)
+        with pytest.raises(TransportError):
+            HttpBackend(endpoint.url, "m").complete(make_request())
+        assert len(sleeps) == 3
+        assert all(full / 2 <= slept <= full for slept, full in zip(sleeps, [0.5, 1.0, 2.0]))
+
+
+@pytest.fixture
+def elsewhere():
+    """A second origin, where a followed redirect would land."""
+    server = LocalEndpoint()
+    yield server
+    server.close()
+
+
+class TestRedirects:
+    @pytest.mark.parametrize("status", [301, 302, 303, 307, 308])
+    def test_redirect_is_config_error_and_not_followed(self, endpoint, elsewhere, sleeps, status):
+        endpoint.push({"moved": True}, status=status, headers={"Location": elsewhere.url})
+        backend = HttpBackend(endpoint.url, "m", api_key="sk-secret")
+        with pytest.raises(EndpointConfigError, match=f"HTTP {status}: redirect to {re.escape(repr(elsewhere.url))}"):
+            backend.complete(make_request())
+        assert len(endpoint.received) == 1
+        assert elsewhere.received_headers == []
+        assert sleeps == []
+
+    def test_embedder_redirect_not_followed(self, endpoint, elsewhere, sleeps):
+        endpoint.push({"moved": True}, status=302, headers={"Location": elsewhere.url})
+        embedder = HttpEmbedder(endpoint.url, "embed-model", api_key="sk-secret")
+        with pytest.raises(EndpointConfigError, match=f"HTTP 302: redirect to {re.escape(repr(elsewhere.url))}"):
+            embedder("text")
+        assert len(endpoint.received) == 1
+        assert elsewhere.received_headers == []
+
+    def test_redirect_without_location_names_none(self, endpoint, sleeps):
+        endpoint.push({"moved": True}, status=301)
+        with pytest.raises(EndpointConfigError, match="HTTP 301: redirect to None not followed"):
+            HttpBackend(endpoint.url, "m").complete(make_request())
+
+
+def test_read_timeout_ends_in_transport_error(monkeypatch, sleeps):
+    """A server that takes each connection (in the kernel's accept queue) and never answers."""
+    monkeypatch.setattr("smr.llm.TIMEOUT", 0.2)
+    with socket.create_server(("127.0.0.1", 0)) as silent:
+        url = f"http://127.0.0.1:{silent.getsockname()[1]}/v1/chat/completions"
+        with pytest.raises(TransportError, match="after 4 attempts: timed out"):
+            HttpBackend(url, "m").complete(make_request())
+    assert len(sleeps) == 3
+
+
+class TestTls:
+    @pytest.mark.parametrize("host", ["127.0.0.1", "localhost"])
+    def test_round_trip_with_trusted_certificate(self, tls_endpoint, monkeypatch, host):
+        monkeypatch.setenv("SSL_CERT_FILE", str(TEST_ONLY_CERT))
+        monkeypatch.delenv("SSL_CERT_DIR", raising=False)
+        tls_endpoint.push_chat("over tls", completion_tokens=2)
+        reply = HttpBackend(tls_endpoint.url.replace("127.0.0.1", host), "m").complete(make_request())
+        assert (reply.text, reply.output_tokens) == ("over tls", 2)
+        assert len(tls_endpoint.received) == 1
+
+    def test_default_trust_store_rejects_self_signed(self, tls_endpoint, monkeypatch, sleeps):
+        monkeypatch.delenv("SSL_CERT_FILE", raising=False)
+        monkeypatch.delenv("SSL_CERT_DIR", raising=False)
+        with pytest.raises(TransportError, match="CERTIFICATE_VERIFY_FAILED"):
+            HttpBackend(tls_endpoint.url, "m").complete(make_request())
+        assert tls_endpoint.received == []
+
+
+class ProxyDouble:
+    """A loopback HTTP proxy that records each request line.
+
+    It answers a POST itself with a chat reply, and tunnels a CONNECT to
+    the host and port it names until either side closes.
+    """
+
+    def __init__(self):
+        self.request_lines: list[str] = []
+        outer = self
+
+        class Handler(BaseHTTPRequestHandler):
+            def do_POST(self):
+                outer.request_lines.append(self.requestline)
+                self.rfile.read(int(self.headers["Content-Length"]))
+                payload = json.dumps({"choices": [{"message": {"content": "via proxy"}}]}).encode()
+                self.send_response(200)
+                self.send_header("Content-Length", str(len(payload)))
+                self.end_headers()
+                self.wfile.write(payload)
+
+            def do_CONNECT(self):
+                outer.request_lines.append(self.requestline)
+                host, port = self.path.rsplit(":", 1)
+                with socket.create_connection((host, int(port)), timeout=10) as upstream:
+                    self.send_response(200)
+                    self.end_headers()
+                    ends = {self.connection: upstream, upstream: self.connection}
+                    while True:
+                        ready, _, _ = select.select(list(ends), [], [], 10)
+                        chunks = [(end, end.recv(65536)) for end in ready]
+                        if not ready or not all(data for _, data in chunks):
+                            return
+                        for end, data in chunks:
+                            ends[end].sendall(data)
+
+            def log_message(self, *args):
+                pass
+
+        self._server = HTTPServer(("127.0.0.1", 0), Handler)
+        self._thread = threading.Thread(target=self._server.serve_forever, args=(0.05,), daemon=True)
+        self._thread.start()
+        self.url = f"http://127.0.0.1:{self._server.server_port}"
+
+    def close(self) -> None:
+        self._server.shutdown()
+        self._server.server_close()
+
+
+@pytest.fixture
+def proxy():
+    server = ProxyDouble()
+    yield server
+    server.close()
+
+
+class TestProxies:
+    def test_http_proxy_gets_absolute_form(self, proxy, monkeypatch):
+        monkeypatch.setenv("HTTP_PROXY", proxy.url)
+        url = "http://127.0.0.1:9/v1/chat/completions"  # nothing listens here; the proxy answers
+        assert HttpBackend(url, "m").complete(make_request()).text == "via proxy"
+        assert proxy.request_lines == [f"POST {url} HTTP/1.1"]
+
+    def test_no_proxy_bypasses_it(self, proxy, endpoint, monkeypatch):
+        monkeypatch.setenv("HTTP_PROXY", proxy.url)
+        monkeypatch.setenv("NO_PROXY", "127.0.0.1")
+        HttpBackend(endpoint.url, "m").complete(make_request())
+        assert proxy.request_lines == []
+        assert len(endpoint.received) == 1
+
+    def test_https_proxy_gets_connect(self, proxy, tls_endpoint, monkeypatch):
+        monkeypatch.setenv("HTTPS_PROXY", proxy.url)
+        monkeypatch.setenv("SSL_CERT_FILE", str(TEST_ONLY_CERT))
+        tls_endpoint.push_chat("through the tunnel", completion_tokens=3)
+        assert HttpBackend(tls_endpoint.url, "m").complete(make_request()).text == "through the tunnel"
+        host_port = tls_endpoint.url.split("/")[2]
+        # http.client writes HTTP/1.0 here before Python 3.12 and HTTP/1.1 from it on.
+        assert [line.rsplit(" ", 1)[0] for line in proxy.request_lines] == [f"CONNECT {host_port}"]
+        assert len(tls_endpoint.received) == 1
+
+    def test_unsupported_proxy_scheme_fails_and_sends_nothing(self, proxy, sleeps, monkeypatch):
+        monkeypatch.setenv("HTTP_PROXY", proxy.url.replace("http://", "socks5://"))
+        with pytest.raises(TransportError, match="unknown url type: socks5"):
+            HttpBackend("http://127.0.0.1:9/v1/chat/completions", "m").complete(make_request())
+        assert proxy.request_lines == []
+
+    def test_proxies_read_at_first_request(self, proxy, endpoint, monkeypatch):
+        HttpBackend(endpoint.url, "m").complete(make_request())
+        monkeypatch.setenv("HTTP_PROXY", proxy.url)
+        HttpBackend(endpoint.url, "m").complete(make_request())
+        assert proxy.request_lines == []
+        assert len(endpoint.received) == 2
