@@ -14,6 +14,7 @@ import http.client
 import json
 import logging
 import random
+import ssl
 import time
 import urllib.parse
 import urllib.request
@@ -148,8 +149,8 @@ def post_json_with_retry(url: str, payload: dict[str, Any], headers: dict[str, s
     Transient failures (connection errors, timeouts, 408, 429, 5xx, any
     other non-200 status, unparseable bodies) are retried with exponential
     backoff, or after the wait a 408, 429 or 503 names in ``Retry-After``;
-    a redirect or any other 4xx response is a configuration problem and
-    fails immediately.
+    a redirect, any other 4xx response or a certificate that fails
+    verification is a configuration problem and fails immediately.
     """
     data = json.dumps(payload).encode("utf-8")
     attempts = MAX_RETRIES + 1
@@ -164,6 +165,9 @@ def post_json_with_retry(url: str, payload: dict[str, Any], headers: dict[str, s
         except ValueError as exc:  # http.client refused a header before sending anything
             raise EndpointConfigError(f"request to {url} could not be sent: {exc}") from None
         except (OSError, http.client.HTTPException) as exc:
+            reason = getattr(exc, "reason", None)  # urllib raises a failed handshake as a URLError
+            if isinstance(reason, ssl.SSLCertVerificationError):
+                raise EndpointConfigError(f"{url}: certificate verification failed: {reason}") from None
             last_error = exc
         else:
             if 300 <= status < 500 and status not in _TRANSIENT_4XX:

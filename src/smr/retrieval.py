@@ -204,24 +204,45 @@ class Bm25Retriever:
             lengths.append(len(tokens))
             rows.extend(map(vocabulary.__getitem__, tokens))
         avg = sum(lengths) / n
-        # One key per token, row * n + position: the distinct keys, ascending,
-        # are the (term, document) pairs in CSR order, and their counts the tfs.
-        # The largest key is below len(vocabulary) * n, far inside int64.
-        keys, counts = np.unique(
-            np.array(rows, dtype=np.intp) * n + np.repeat(np.arange(n, dtype=np.intp), lengths),
-            return_counts=True,
-        )
-        term_rows, self.doc_pos = np.divmod(keys, n)
-        df = np.bincount(term_rows, minlength=len(vocabulary))
-        # The BM25 arithmetic, elementwise in the same operand order as the
-        # textbook loop, so a sum of these weights is that loop's float exactly.
+        # One key per token, row * n + position, made in rows itself and sorted
+        # there: the runs of equal keys are the (term, document) pairs in CSR
+        # order and their lengths the tfs.  The largest key is below
+        # len(vocabulary) * n, far inside int64.  Each step works in place or
+        # drops its input, so the build peaks below twice what it keeps.
+        keys = np.frombuffer(rows, dtype=np.int64)
+        keys *= n
+        keys += np.repeat(np.arange(n), lengths)
+        keys.sort()
+        # bounds: each run's start, then len(keys); the sentinels make an
+        # empty keys (no document has a token) one bound and no run.
+        run_start = np.ones(len(keys) + 1, dtype=bool)
+        np.not_equal(keys[1:], keys[:-1], out=run_start[1:-1])
+        bounds = np.flatnonzero(run_start)
+        del run_start
+        pairs = keys[bounds[:-1]]
+        del keys, rows
+        tf = np.empty(len(pairs))
+        np.subtract(bounds[1:], bounds[:-1], out=tf)
+        del bounds
+        # Row r's keys are the pairs' keys in [r * n, (r + 1) * n).
+        self.indptr = np.searchsorted(pairs, np.arange(len(vocabulary) + 1, dtype=np.int64) * n)
+        self.doc_pos = np.remainder(pairs, n, out=pairs)
+        df = np.diff(self.indptr)
+        # The BM25 arithmetic in place, one rounding per operation on the same
+        # operands as the textbook loop (some + and * operands swapped, which is
+        # exact), so a sum of these weights is that loop's float exactly.
         # math.log, not np.log: the latter's vector path may differ in the last ulp.
         idf = np.array([math.log(1.0 + (n - d + 0.5) / (d + 0.5)) for d in df.tolist()])
-        norm = 1.0 - BM25_B + BM25_B * np.array(lengths, dtype=np.float64)[self.doc_pos] / avg
-        tf = counts.astype(np.float64)
-        self.weights = idf[term_rows] * (tf * (BM25_K1 + 1.0) / (tf + BM25_K1 * norm))
-        self.indptr = np.zeros(len(vocabulary) + 1, dtype=np.intp)
-        np.cumsum(df, out=self.indptr[1:])
+        denominator = np.array(lengths, dtype=np.float64)[self.doc_pos]
+        denominator *= BM25_B
+        denominator /= avg
+        denominator += 1.0 - BM25_B
+        denominator *= BM25_K1
+        denominator += tf
+        tf *= BM25_K1 + 1.0
+        tf /= denominator
+        del denominator
+        self.weights = np.multiply(tf, np.repeat(idf, df), out=tf)
         self.vocabulary = dict(vocabulary)
         self.ids = tuple(doc_store)
         self.rank = _sorted_rank(self.ids)

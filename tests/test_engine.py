@@ -340,7 +340,21 @@ class TestRunBatch:
     def test_interrupt_while_joining_waits_for_the_running_query(self, toy_retriever):
         threads_before = threading.active_count()
         worker_started = threading.Event()
+        interrupted = threading.Event()
         ended: list[str] = []
+
+        def main_thread_waits_in_run_batch() -> bool:
+            """Whether the main thread is in an Event.wait that run_batch itself called."""
+            frame = sys._current_frames().get(threading.main_thread().ident)
+            while frame is not None and frame.f_back is not None:
+                if frame.f_code is threading.Event.wait.__code__ and frame.f_back.f_code is run_batch.__code__:
+                    return True
+                frame = frame.f_back
+            return False
+
+        def on_interrupt(signum, frame):
+            interrupted.set()
+            raise KeyboardInterrupt
 
         class Backend:
             def complete(self, request: ChatRequest) -> ChatResponse:
@@ -348,15 +362,22 @@ class TestRunBatch:
                     assert worker_started.wait(timeout=10)
                 else:
                     worker_started.set()
-                    time.sleep(0.1)  # the caller ends its own query and waits in join
+                    deadline = time.monotonic() + 10
+                    while not main_thread_waits_in_run_batch():  # the caller ends its own query first
+                        assert time.monotonic() < deadline
+                        time.sleep(0.001)
                     signal.pthread_kill(threading.main_thread().ident, signal.SIGINT)
-                    time.sleep(0.1)
+                    assert interrupted.wait(timeout=10)
                     ended.append("worker")
                 return ChatResponse(text=stop_json(), output_tokens=1)
 
-        queries = [("q0", QUERY), ("q1", QUERY)]
-        with pytest.raises(KeyboardInterrupt):
-            run_batch(queries, toy_retriever, lambda qid: Backend(), EngineConfig(batch_size=2))
+        previous = signal.signal(signal.SIGINT, on_interrupt)
+        try:
+            queries = [("q0", QUERY), ("q1", QUERY)]
+            with pytest.raises(KeyboardInterrupt):
+                run_batch(queries, toy_retriever, lambda qid: Backend(), EngineConfig(batch_size=2))
+        finally:
+            signal.signal(signal.SIGINT, previous)
         assert ended == ["worker"]
         assert threading.active_count() == threads_before
 

@@ -444,8 +444,18 @@ class TestTls:
     def test_default_trust_store_rejects_self_signed(self, tls_endpoint, monkeypatch, sleeps):
         monkeypatch.delenv("SSL_CERT_FILE", raising=False)
         monkeypatch.delenv("SSL_CERT_DIR", raising=False)
-        with pytest.raises(TransportError, match="CERTIFICATE_VERIFY_FAILED"):
+        opener, attempts = _opener(), []
+        send = opener.open
+
+        def counted_open(request, timeout):
+            attempts.append(request.full_url)
+            return send(request, timeout=timeout)
+
+        monkeypatch.setattr(opener, "open", counted_open)
+        with pytest.raises(EndpointConfigError, match="certificate verification failed: .*CERTIFICATE_VERIFY_FAILED"):
             HttpBackend(tls_endpoint.url, "m").complete(make_request())
+        assert attempts == [tls_endpoint.url]
+        assert sleeps == []
         assert tls_endpoint.received == []
 
 

@@ -3,10 +3,11 @@ from __future__ import annotations
 import json
 import math
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import smr.retrieval
@@ -305,6 +306,8 @@ def shuffled_corpus_and_query(draw):
 
 @settings(max_examples=150)
 @given(shuffled_corpus_and_query())
+@example(({"1": ""}, ["a"]))  # no document has a token
+@example(({"1": "a"}, ["a"]))
 def test_scores_bit_identical_to_posting_walk_and_ranking_to_oracle(data):
     texts, query = data
     retriever = bm25(texts)
@@ -336,8 +339,38 @@ def mixed_corpus(draw):
 
 @settings(max_examples=200)
 @given(mixed_corpus())
+@example({"1": ""})  # no document has a token
+@example({"1": "a"})
 def test_index_arrays_bit_identical_to_reference_csr(texts):
     assert_csr_matches_reference(bm25(texts), texts)
+
+
+def seeded_texts() -> dict[str, str]:
+    """2,000 documents of 20-200 words drawn from a Zipf-like vocabulary of
+    20,000 words, so a few terms have long postings and most have short ones."""
+    rng = random.Random(0)
+    vocab = [f"w{rank}" for rank in range(20_000)]
+    weights = [1.0 / (rank + 1) for rank in range(len(vocab))]
+    return {f"d{i}": " ".join(rng.choices(vocab, weights, k=rng.randint(20, 200))) for i in range(2000)}
+
+
+def bm25_build_memory(texts: dict[str, str]) -> tuple[int, int]:
+    """tracemalloc's (peak, retained) bytes over building a Bm25Retriever on texts."""
+    doc_store = build_index(docs_from(texts))
+    tracemalloc.start()
+    try:
+        retriever = Bm25Retriever(doc_store)
+        retained, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    del retriever
+    return peak, retained
+
+
+def test_index_build_peaks_under_twice_what_it_keeps():
+    """The arrays are built in place: the build's peak is at most twice what the retriever keeps."""
+    peak, retained = bm25_build_memory(seeded_texts())
+    assert peak <= 2 * retained, f"peak {peak / 1e6:.1f} MB, retained {retained / 1e6:.1f} MB"
 
 
 class TestDense:
