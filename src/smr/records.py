@@ -12,14 +12,14 @@ from contextlib import contextmanager
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Iterable, Iterator, TextIO
 
-from .core import StopCause
+from .core import Action, StopCause
 from .errors import CorpusError, SmrError, TraceFormatError
 
 if TYPE_CHECKING:
     from .engine import TrajectoryResult
 
 _QUERY_ID = frozenset({"query_id"})
-_ACTIONS = ("refine", "rerank", "stop")
+_ACTIONS = tuple(action.value for action in Action)
 _STOP_CAUSES = tuple(cause.value for cause in StopCause)
 _STOP_CAUSE_LIST = ", ".join(_STOP_CAUSES)
 # The stop causes a query's last transition can end in, by whether it is a stop.
@@ -190,7 +190,8 @@ def iter_traces(lines: Iterable[str], name: str) -> Iterator[QueryTrace]:
     Raises TraceFormatError naming the line for a query_id that is not a
     string or an integer, an error that is not a string, a record of no
     known shape, a bad action, a step that is not the transition's 1-based
-    position in its query, a transition after one with a stop_cause,
+    position in its query, a transition after one with a stop_cause, a stop
+    whose query or doc_ids differ from the transition before it,
     output_tokens that are not a non-negative integer, other transition
     fields not of the types emit_trace writes, a stop_cause the transition's
     action cannot end in (a stop must end in one), a summary that is not the
@@ -229,6 +230,9 @@ def iter_traces(lines: Iterable[str], name: str) -> Iterator[QueryTrace]:
                 raise TraceFormatError(f"{name}: line {lineno}: transition needs a non-empty string query")
             if not _is_id_list(record.get("doc_ids")):
                 raise TraceFormatError(f"{name}: line {lineno}: transition needs doc_ids, a list of distinct strings")
+            pre = trace.transitions[-1] if trace.transitions else record  # the first has no pre-state here
+            if action == "stop" and (record["query"], record["doc_ids"]) != (pre["query"], pre["doc_ids"]):
+                raise TraceFormatError(f"{name}: line {lineno}: query {query_id!r} stop changes the state")
             if "reason" not in record or not (record["reason"] is None or type(record["reason"]) is str):
                 raise TraceFormatError(f"{name}: line {lineno}: transition needs a reason, a string or null")
             temperature = record.get("temperature")

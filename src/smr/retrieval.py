@@ -3,8 +3,8 @@
 Sparse search is Okapi BM25: a Bm25Retriever computes every (term,
 document) weight once, when it is made, and keeps them in its own flat CSR
 arrays.  Dense search is cosine similarity over one matrix of externally
-supplied embeddings.  Both return ranked lists with deterministic tie-breaking
-(ascending doc_id) so repeat runs produce identical output.
+supplied embeddings.  Both number documents in doc-id order and break score
+ties by position, which is ascending doc_id, so repeat runs give identical output.
 """
 
 from __future__ import annotations
@@ -46,22 +46,13 @@ def tokenize(text: str) -> list[str]:
     return _TOKEN_RE.findall(text.lower())
 
 
-def _sorted_rank(ids: Sequence[str]) -> np.ndarray:
-    """rank[p] is the place of ids[p] in sorted(ids), the tie-break key."""
-    rank = np.empty(len(ids), dtype=np.intp)
-    rank[sorted(range(len(ids)), key=ids.__getitem__)] = np.arange(len(ids))
-    return rank
-
-
-def _top_k(
-    ids: Sequence[str], rank: np.ndarray, positions: np.ndarray, scores: np.ndarray, k: int
-) -> tuple[str, ...]:
-    """ids of the k best positions: score descending, then doc_id ascending."""
+def _top_k(ids: Sequence[str], positions: np.ndarray, scores: np.ndarray, k: int) -> tuple[str, ...]:
+    """ids of the k best positions: score descending, then position (doc-id order) ascending."""
     if len(scores) > k:
         kth = np.partition(scores, len(scores) - k)[len(scores) - k]
         keep = scores >= kth
         positions, scores = positions[keep], scores[keep]
-    order = np.lexsort((rank[positions], -scores))[:k]
+    order = np.lexsort((positions, -scores))[:k]
     return tuple(ids[p] for p in positions[order].tolist())
 
 
@@ -90,23 +81,25 @@ class RowError(ValueError):
 class DenseStore:
     """Document embeddings: row p of matrix is ids[p]'s raw row over its norm.
 
-    It is made from (N, dim) raw rows, an array or a list of rows, which it
-    copies and divides; a row that cannot be divided by its norm raises
-    RowError.  The ids must be distinct, which load_dense_store checks.  Then
-    matrix is one C-contiguous float64 (N, dim) array and the source of truth
-    for every score; matrix32, a float32 copy of it, is what dense_search
-    scans to pick candidates (N * dim * 4 more bytes).  rank[p] is ids[p]'s
-    place in sorted(ids).
+    It is made from ids and their (N, dim) raw rows, an array or a list of
+    rows, which it copies in doc-id order and divides; a row that cannot be
+    divided by its norm raises RowError naming the row's index as given.
+    The ids must be distinct, which load_dense_store checks.  Then ids is
+    sorted, matrix is one C-contiguous float64 (N, dim) array and the source
+    of truth for every score, and matrix32, a float32 copy of it, is what
+    dense_search scans to pick candidates (N * dim * 4 more bytes).
     """
 
     ids: tuple[str, ...]
     matrix: np.ndarray
     matrix32: np.ndarray = field(init=False, repr=False)
-    rank: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
-        matrix = np.array(self.matrix, dtype=np.float64, order="C")  # a copy, divided in place
-        if matrix.ndim != 2 or matrix.shape[0] != len(self.ids) or matrix.size == 0:
+        if len(self.matrix) != len(self.ids):
+            raise ValueError(f"matrix has {len(self.matrix)} rows, expected {len(self.ids)}")
+        order = sorted(range(len(self.ids)), key=self.ids.__getitem__)
+        matrix = np.array([self.matrix[p] for p in order], dtype=np.float64)  # a copy, divided in place
+        if matrix.ndim != 2 or matrix.size == 0:
             raise ValueError(f"matrix has shape {matrix.shape}, expected ({len(self.ids)}, dim), both >= 1")
         norms = np.sqrt(np.einsum("ij,ij->i", matrix, matrix))
         # A norm under 2**-511 has a square below the smallest normal float,
@@ -119,11 +112,11 @@ class DenseStore:
                 else "is all zeros and cannot be normalized" if not matrix[p].any()
                 else f"has a norm too {'large' if norms[p] > 1 else 'small'} to normalize"
             )
-            raise RowError(f"vector for {self.ids[p]!r} {what}", p)
+            raise RowError(f"vector for {self.ids[order[p]]!r} {what}", order[p])
         matrix /= norms[:, None]
+        object.__setattr__(self, "ids", tuple(self.ids[p] for p in order))
         object.__setattr__(self, "matrix", matrix)
         object.__setattr__(self, "matrix32", matrix.astype(np.float32))
-        object.__setattr__(self, "rank", _sorted_rank(self.ids))
 
 
 def dense_search(store: DenseStore, query_vector: Iterable[float], k: int) -> RankedList:
@@ -168,7 +161,7 @@ def dense_search(store: DenseStore, query_vector: Iterable[float], k: int) -> Ra
     # sums, and then exact ties no longer break by doc_id.  A row's einsum is
     # the same float whether it is gathered or scored in the full matrix.
     sims = np.einsum("ij,j->i", matrix, q)
-    return RankedList(entries=_top_k(store.ids, store.rank, positions, sims, k))
+    return RankedList(entries=_top_k(store.ids, positions, sims, k))
 
 
 class Retriever(Protocol):
@@ -182,9 +175,9 @@ class Retriever(Protocol):
 class Bm25Retriever:
     """BM25 search over a checked doc store, such as build_index returns.
 
-    The search arrays are built once, here.  Documents are numbered by their
-    position in the doc store: ids[p] is the doc_id at position p and rank[p]
-    is its place in sorted(ids).  The term numbered r by vocabulary owns the
+    The search arrays are built once, here.  Documents are numbered in
+    doc-id order: ids is sorted(doc_store) and ids[p] is the doc_id at
+    position p.  The term numbered r by vocabulary owns the
     CSR row indptr[r]:indptr[r + 1] of doc_pos (the positions of the
     documents holding it, ascending) and weights (each one's BM25 weight).
     """
@@ -194,13 +187,14 @@ class Bm25Retriever:
         if not n:
             raise CorpusError("corpus is empty")
         self.doc_store = doc_store
+        self.ids = tuple(sorted(doc_store))
         lengths: list[int] = []
         # Terms are numbered in order of first occurrence; rows holds every
         # token's term number, document after document.
         vocabulary: defaultdict[str, int] = defaultdict(itertools.count().__next__)
         rows = array.array("q")
-        for doc in doc_store.values():
-            tokens = tokenize(doc.text)
+        for doc_id in self.ids:
+            tokens = tokenize(doc_store[doc_id].text)
             lengths.append(len(tokens))
             rows.extend(map(vocabulary.__getitem__, tokens))
         avg = sum(lengths) / n
@@ -244,8 +238,6 @@ class Bm25Retriever:
         del denominator
         self.weights = np.multiply(tf, np.repeat(idf, df), out=tf)
         self.vocabulary = dict(vocabulary)
-        self.ids = tuple(doc_store)
-        self.rank = _sorted_rank(self.ids)
 
     def _scores(self, terms: Iterable[str]) -> np.ndarray:
         """BM25 score of every document position (0.0 where no term matches).
@@ -276,7 +268,7 @@ class Bm25Retriever:
             raise ValueError("k must be >= 1")
         scores = self._scores(tokenize(query))
         hits = np.flatnonzero(scores > 0.0)
-        return RankedList(entries=_top_k(self.ids, self.rank, hits, scores[hits], k))
+        return RankedList(entries=_top_k(self.ids, hits, scores[hits], k))
 
 
 class DenseRetriever:
@@ -334,7 +326,10 @@ def json_vector(value: object) -> np.ndarray | None:
         row = np.array(value)
     except ValueError:  # nested lists of unequal lengths
         return None
-    return row if row.ndim == 1 and row.size and row.dtype.kind in "iuf" else None
+    if row.ndim != 1 or not row.size or row.dtype.kind not in "iuf":
+        return None
+    # A boolean among numbers becomes an exact 0 or 1: only such rows have their types scanned.
+    return None if np.count_nonzero((row == 0) | (row == 1)) and bool in map(type, value) else row
 
 
 def load_dense_store(path: str, embed_endpoint: str | None = None) -> DenseStore:

@@ -400,6 +400,22 @@ class TestAnalyzeTraces:
                 [transition_line("a", True, "stop", cause="policy-stop"), summary_line("a", 0, 0)],
                 "line 1: query 'a' step True should be 1",
             ),
+            (
+                [
+                    transition_line("a", 1, "refine", query="a", doc_ids=["d1", "d2"]),
+                    transition_line("a", 2, "stop", cause="policy-stop", query="zzz", doc_ids=["d9"]),
+                    summary_line("a", 1, 0),
+                ],
+                "line 2: query 'a' stop changes the state",
+            ),
+            (
+                [
+                    transition_line("a", 1, "rerank"),
+                    transition_line("a", 2, "stop", cause="policy-stop", doc_ids=["d2", "d1"]),
+                    summary_line("a", 1, 0),
+                ],
+                "line 2: query 'a' stop changes the state",
+            ),
         ],
         ids=[
             "transition-without-step",
@@ -433,6 +449,8 @@ class TestAnalyzeTraces:
             "boolean-summary-steps",
             "float-summary-tokens",
             "boolean-step",
+            "stop-changing-the-state",
+            "stop-reordering-the-ids",
         ],
     )
     def test_malformed_trace_names_file_and_line(self, lines, message):

@@ -354,7 +354,10 @@ class TestHttpEmbedder:
 
     @pytest.mark.parametrize(
         "embedding",
-        [b'["0.6", "0.8"]', b"[NaN, 1]", b"[1, Infinity]", b"[true, false]", b"[null, 1]", b"[[0.6, 0.8]]", b"[]", b'"0.6"'],
+        [
+            b'["0.6", "0.8"]', b"[NaN, 1]", b"[1, Infinity]", b"[true, false]", b"[true, 0.5]", b"[1, false]",
+            b"[null, 1]", b"[[0.6, 0.8]]", b"[]", b'"0.6"',
+        ],
     )
     def test_embedding_not_finite_json_numbers_rejected(self, endpoint, embedding):
         endpoint.push(b'{"data": [{"embedding": ' + embedding + b"}]}")
