@@ -25,6 +25,15 @@ class StopCause(str, Enum):
     POLICY_FAILURE_FALLBACK = "policy-failure-fallback"
 
 
+# Attempt i of a decision runs at temperature i * TEMPERATURE_STEP.
+TEMPERATURE_STEP = 0.1
+
+
+def temperature_for_attempt(attempt: int) -> float:
+    # Rounded so that 0.1 * 3 is sent and traced as 0.3, not 0.30000000000000004.
+    return round(attempt * TEMPERATURE_STEP, 10)
+
+
 def require_ints(config: object, names: tuple[str, ...]) -> None:
     """Raise ValueError for the first named attribute that is not an int (a bool is not)."""
     for name in names:

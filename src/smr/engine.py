@@ -63,34 +63,23 @@ def run_trajectory(
     capture them per query.
     """
     cfg = config or EngineConfig()
-    initial_docs = retriever.search(query, cfg.k)
-    state = ReasoningState(query=query, docs=initial_docs)
-    initial = state
+    state = initial = ReasoningState(query=query, docs=retriever.search(query, cfg.k))
     transitions: list[Transition] = []
-    while True:
-        # Every transition recorded so far advanced the state, so this counts steps.
-        if len(transitions) >= cfg.max_steps:
-            stop_cause = StopCause.STEP_CAP
-            break
+    stop_cause = StopCause.STEP_CAP
+    for _ in range(cfg.max_steps):
         outcome = decide(state, retriever.doc_store, backend, cfg.policy)
         decision = outcome.decision
         if decision.action is Action.STOP:
-            transitions.append(
-                Transition(decision, state, outcome.output_tokens, outcome.temperature_used)
-            )
-            stop_cause = (
-                StopCause.POLICY_FAILURE_FALLBACK if outcome.fallback else StopCause.POLICY_STOP
-            )
-            break
-        if decision.action is Action.REFINE:
+            post = state
+        elif decision.action is Action.REFINE:
             post = exec_refine(state, decision, retriever, cfg.k, cfg.max_list_size)
         else:
             post, _report = exec_rerank(state, decision)
-        transitions.append(
-            Transition(decision, post, outcome.output_tokens, outcome.temperature_used)
-        )
+        transitions.append(Transition(decision, post, outcome.output_tokens, outcome.temperature_used))
+        if decision.action is Action.STOP:
+            stop_cause = StopCause.POLICY_FAILURE_FALLBACK if outcome.fallback else StopCause.POLICY_STOP
+            break
         if state_equivalent(post, state):
-            state = post
             stop_cause = StopCause.EQUIVALENCE_STOP
             break
         state = post

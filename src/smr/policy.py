@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from importlib import resources
 from typing import Mapping
 
-from .core import Decision, Document, ReasoningState, require_ints
+from .core import Decision, Document, ReasoningState, require_ints, temperature_for_attempt
 from .errors import DecisionParseError, UnknownDocumentError
 from .llm import ChatBackend, ChatRequest
 
@@ -23,17 +23,11 @@ _ACTION_RERANK = "re-rank"
 _ACTION_STOP = "stop"
 
 
-# One decision-call policy for every run: attempt i runs at temperature
-# i * TEMPERATURE_STEP, each document is cut at DOC_SNIPPET_CHARS characters,
-# and each call asks for at most MAX_OUTPUT_TOKENS output tokens.
-TEMPERATURE_STEP = 0.1
+# One decision-call policy for every run: attempt i runs at
+# temperature_for_attempt(i), each document is cut at DOC_SNIPPET_CHARS
+# characters, and each call asks for at most MAX_OUTPUT_TOKENS output tokens.
 DOC_SNIPPET_CHARS = 2000
 MAX_OUTPUT_TOKENS = 1024
-
-
-def temperature_for_attempt(attempt: int) -> float:
-    # Rounded so that 0.1 * 3 is sent and traced as 0.3, not 0.30000000000000004.
-    return round(attempt * TEMPERATURE_STEP, 10)
 
 
 @dataclass(frozen=True)

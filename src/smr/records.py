@@ -12,7 +12,7 @@ from contextlib import contextmanager
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Iterable, Iterator, TextIO
 
-from .core import Action, StopCause
+from .core import TEMPERATURE_STEP, Action, StopCause, temperature_for_attempt
 from .errors import CorpusError, SmrError, TraceFormatError
 
 if TYPE_CHECKING:
@@ -24,6 +24,8 @@ _STOP_CAUSES = tuple(cause.value for cause in StopCause)
 _STOP_CAUSE_LIST = ", ".join(_STOP_CAUSES)
 # The stop causes a query's last transition can end in, by whether it is a stop.
 _FINAL_CAUSES = {True: ("policy-stop", "policy-failure-fallback"), False: ("equivalence-stop", "step-cap")}
+# The temperatures a run can send: the policy's schedule stops at 1.0, attempt 10.
+_TEMPERATURES = frozenset(temperature_for_attempt(attempt) for attempt in range(11))
 
 
 @contextmanager
@@ -193,7 +195,8 @@ def iter_traces(lines: Iterable[str], name: str) -> Iterator[QueryTrace]:
     position in its query, a transition after one with a stop_cause, a stop
     whose query or doc_ids differ from the transition before it,
     output_tokens that are not a non-negative integer, other transition
-    fields not of the types emit_trace writes, a stop_cause the transition's
+    fields not of the types emit_trace writes, a stop with a reason, a
+    temperature no attempt is sent at, a stop_cause the transition's
     action cannot end in (a stop must end in one), a summary that is not the
     one emit_trace writes for the transitions before it, which must end in
     one with a stop_cause, an error for a query that has transitions, or a
@@ -235,9 +238,12 @@ def iter_traces(lines: Iterable[str], name: str) -> Iterator[QueryTrace]:
                 raise TraceFormatError(f"{name}: line {lineno}: query {query_id!r} stop changes the state")
             if "reason" not in record or not (record["reason"] is None or type(record["reason"]) is str):
                 raise TraceFormatError(f"{name}: line {lineno}: transition needs a reason, a string or null")
+            if action == "stop" and record["reason"] is not None:
+                raise TraceFormatError(f"{name}: line {lineno}: query {query_id!r} stop has a reason")
             temperature = record.get("temperature")
-            if type(temperature) not in (int, float) or not 0 <= temperature <= 1:
-                raise TraceFormatError(f"{name}: line {lineno}: transition needs a temperature, a number in [0, 1]")
+            if type(temperature) is not float or temperature not in _TEMPERATURES:
+                raise TraceFormatError(f"{name}: line {lineno}: transition needs a temperature, "
+                                       f"a float multiple of {TEMPERATURE_STEP} in [0, 1]")
             cause, ends = record.get("stop_cause"), _FINAL_CAUSES[action == "stop"]
             if (action == "stop" or "stop_cause" in record) and cause not in ends:
                 raise TraceFormatError(f"{name}: line {lineno}: a {action} ends in {' or '.join(ends)}, not {cause!r}")

@@ -139,28 +139,26 @@ def dense_search(store: DenseStore, query_vector: Iterable[float], k: int) -> Ra
     norm = float(np.linalg.norm(q))
     if norm > 0.0:
         q = q / norm
-    matrix, positions = store.matrix, np.arange(n)
-    if k < n:
-        # e bounds |float32 score - float64 score| for every row.  Rounding m
-        # and q to float32, the d products and any order of the d - 1 sums
-        # give at most gamma_{d+2} * |m| * |q| with gamma_j = j*u / (1 - j*u)
-        # and u = 2**-24; the float64 score adds gamma_d at u = 2**-53.  Rows
-        # are unit-norm within 1e-6 and q is normalized, so for any dim below
-        # 2**22 the sum is under (dim + 4) * 2**-23, which has 2x slack.
-        # Underflow adds at most 2**-150 per float32 rounding, 3 per element;
-        # dim * 2**-146 covers it.
-        e = (dim + 4) * 2.0**-23 + dim * 2.0**-146
-        approx = np.einsum("ij,j->i", store.matrix32, q.astype(np.float32))
-        t = float(np.partition(approx, n - k)[n - k])
-        # A row of the exact top k, ties with the k-th included, scores at
-        # least (exact k-th) - e >= t - 2e here, since the k rows at or above
-        # t score at least t - e in float64.  The bound is compared in float64.
-        positions = np.flatnonzero(approx >= np.float64(t - 2.0 * e))
-        matrix = matrix[positions]
+    # e bounds |float32 score - float64 score| for every row.  Rounding m
+    # and q to float32, the d products and any order of the d - 1 sums
+    # give at most gamma_{d+2} * |m| * |q| with gamma_j = j*u / (1 - j*u)
+    # and u = 2**-24; the float64 score adds gamma_d at u = 2**-53.  Rows
+    # are unit-norm within 1e-6 and q is normalized, so for any dim below
+    # 2**22 the sum is under (dim + 4) * 2**-23, which has 2x slack.
+    # Underflow adds at most 2**-150 per float32 rounding, 3 per element;
+    # dim * 2**-146 covers it.
+    e = (dim + 4) * 2.0**-23 + dim * 2.0**-146
+    approx = np.einsum("ij,j->i", store.matrix32, q.astype(np.float32))
+    t = float(np.partition(approx, max(n - k, 0))[max(n - k, 0)])
+    # A row of the exact top k, ties with the k-th included, scores at
+    # least (exact k-th) - e >= t - 2e here, since the k rows at or above
+    # t score at least t - e in float64.  The bound is compared in float64.
+    # With k >= n, t is the lowest score and every row is kept.
+    positions = np.flatnonzero(approx >= np.float64(t - 2.0 * e))
     # einsum, not matrix @ q: a BLAS gemv can give identical rows different
     # sums, and then exact ties no longer break by doc_id.  A row's einsum is
     # the same float whether it is gathered or scored in the full matrix.
-    sims = np.einsum("ij,j->i", matrix, q)
+    sims = np.einsum("ij,j->i", store.matrix[positions], q)
     return RankedList(entries=_top_k(store.ids, positions, sims, k))
 
 

@@ -236,6 +236,62 @@ def oracle_sanitize(current: list[str], proposed: list[str]) -> list[str]:
     return kept
 
 
+def reference_trajectory(query, search, replies, *, k, max_list_size, max_steps, max_attempts) -> dict:
+    """One query's walk, straight from the loop's stated semantics.
+
+    ``search(text, k)`` returns ranked ids.  ``replies`` holds, in the order
+    the policy reads them, (reply, output_tokens) pairs, a reply being
+    ("refine", text, reason), ("rerank", ids, reason), ("stop",) or
+    ("malformed", text).  The rules:
+
+    - attempt i of a decision runs at temperature i / 10;
+    - a decision's tokens are every attempt's, the failed ones included;
+    - max_attempts malformed replies in a row make a fallback stop;
+    - a refine appends the novel retrieved ids to the tail, capped at
+      max_list_size (oracle_merge), and takes the refined text as its query;
+    - a rerank sanitizes its ids to a permutation (oracle_sanitize);
+    - a step that leaves the state as it was (query trimmed, ids in order)
+      ends the walk with an equivalence stop;
+    - max_steps caps the steps that advance the state.
+
+    Returns {"initial", "transitions", "stop_cause", "temperatures"}: states
+    are (query, ids) pairs, each transition is ((action, refined_query,
+    reranked_ids, reason), post state, output_tokens, temperature), and
+    temperatures lists every attempt's temperature, in order.
+    """
+    pending = iter(replies)
+    state = initial = (query, list(search(query, k)))
+    transitions: list[tuple] = []
+    temperatures: list[float] = []
+    advanced, cause = 0, "step-cap"
+    while advanced < max_steps:
+        tokens = 0
+        for attempt in range(max_attempts):
+            temperatures.append(attempt / 10)
+            reply, output_tokens = next(pending)
+            tokens += output_tokens
+            if reply[0] != "malformed":
+                break
+        if reply[0] in ("stop", "malformed"):
+            transitions.append((("stop", None, None, None), state, tokens, temperatures[-1]))
+            cause = "policy-stop" if reply[0] == "stop" else "policy-failure-fallback"
+            break
+        kind, payload, reason = reply
+        if kind == "refine":
+            decision = ("refine", payload, None, reason)
+            post = (payload, oracle_merge(state[1], list(search(payload, k)), max_list_size))
+        else:
+            decision = ("rerank", None, tuple(payload), reason)
+            post = (state[0], oracle_sanitize(state[1], list(payload)))
+        transitions.append((decision, post, tokens, temperatures[-1]))
+        if post[0].strip() == state[0].strip() and post[1] == state[1]:
+            cause = "equivalence-stop"
+            break
+        state = post
+        advanced += 1
+    return {"initial": initial, "transitions": transitions, "stop_cause": cause, "temperatures": temperatures}
+
+
 def reference_render_user_text(query: str, entries, doc_store, doc_snippet_chars: int) -> str:
     """The policy prompt's user text, every document JSON-encoded on every call.
 

@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from smr.core import Action, StopCause, state_equivalent
+from smr.core import Action, Document, RankedList, StopCause, state_equivalent
 from smr.engine import (
     EngineConfig,
     TrajectoryResult,
@@ -29,6 +29,7 @@ from smr.policy import PolicyConfig
 from smr.records import iter_traces
 
 from conftest import refine_json, rerank_json, stop_json
+from oracles import reference_trajectory
 
 QUERY = "what is an LLM"
 
@@ -540,3 +541,129 @@ def test_trace_reader_reads_back_what_the_engine_writes(toy_retriever, query, sc
         "output_tokens": trajectory.total_output_tokens,
         "stop_cause": trajectory.stop_cause.value,
     }
+
+
+class TableRetriever:
+    """A retriever that looks each query text up in a table of ranked ids; an
+    unlisted text retrieves nothing."""
+
+    def __init__(self, table: dict[str, list[str]]):
+        self.table = table
+        self.doc_store = {doc_id: Document(doc_id, f"text of {doc_id}") for doc_id in TABLE_IDS}
+
+    def search(self, query: str, k: int) -> RankedList:
+        return RankedList(tuple(self.table.get(query, ())[:k]))
+
+
+# Refine texts repeat the start queries, padded too, so that a refine can
+# leave the state as it was.
+START_QUERIES = ("what is an LLM", "garlic pasta", "zebra")
+REFINE_TEXTS = (*START_QUERIES, " zebra ", "large language model", "chess", "LLM")
+TABLE_IDS = tuple(f"d{i}" for i in range(1, 9))
+tables = st.dictionaries(
+    st.sampled_from(REFINE_TEXTS), st.lists(st.sampled_from(TABLE_IDS), unique=True, max_size=6)
+)
+# Abstract replies, as reference_trajectory reads them.  Rerank ids include
+# unknown ones (zz, and d7 and d8 on the toy corpus), repeats and omissions.
+abstract_replies = st.one_of(
+    st.tuples(st.just("refine"), st.sampled_from(REFINE_TEXTS), reasons),
+    st.tuples(st.just("rerank"), st.lists(st.sampled_from((*TABLE_IDS, "zz")), min_size=1, max_size=8), reasons),
+    st.just(("stop",)),
+)
+malformed_abstract_runs = malformed_runs.map(lambda run: [("malformed", text) for text in run])
+abstract_scripts = st.lists(
+    st.one_of(abstract_replies.map(lambda reply: [reply]), malformed_abstract_runs), max_size=8
+).map(lambda runs: [reply for run in runs for reply in run] + [("stop",)])
+
+
+def render_reply(reply: tuple) -> str:
+    if reply[0] == "refine":
+        return refine_json(reply[1], reply[2])
+    if reply[0] == "rerank":
+        return rerank_json(reply[1], reply[2])
+    return stop_json() if reply[0] == "stop" else reply[1]
+
+
+def walk_reference(query, retriever, script, config: EngineConfig) -> dict:
+    """reference_trajectory for the engine's retriever, script and config."""
+    return reference_trajectory(
+        query,
+        lambda text, k: retriever.search(text, k).entries,
+        [(reply, count_fallback_tokens(render_reply(reply))) for reply in script],
+        k=config.k,
+        max_list_size=config.max_list_size,
+        max_steps=config.max_steps,
+        max_attempts=config.policy.max_attempts,
+    )
+
+
+def walked(trajectory, backend: ScriptedBackend) -> dict:
+    """A trajectory, and the temperatures its backend was sent, in reference_trajectory's shape."""
+
+    def state(s):
+        return (s.query, list(s.docs.entries))
+
+    return {
+        "initial": state(trajectory.initial),
+        "transitions": [
+            (
+                (tr.decision.action.value, tr.decision.refined_query, tr.decision.reranked_ids, tr.decision.reason),
+                state(tr.post_state),
+                tr.output_tokens,
+                tr.policy_temperature_used,
+            )
+            for tr in trajectory.transitions
+        ],
+        "stop_cause": trajectory.stop_cause.value,
+        "temperatures": [call.temperature for call in backend.calls],
+    }
+
+
+@st.composite
+def engine_configs(draw) -> EngineConfig:
+    k = draw(st.integers(min_value=1, max_value=4))
+    return EngineConfig(
+        k=k,
+        max_steps=draw(st.integers(min_value=1, max_value=5)),
+        max_list_size=draw(st.integers(min_value=k, max_value=k + 4)),
+        batch_size=draw(st.integers(min_value=1, max_value=4)),
+        policy=PolicyConfig(max_attempts=draw(st.integers(min_value=1, max_value=4))),
+    )
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    query=st.sampled_from(START_QUERIES),
+    table=st.none() | tables,
+    script=abstract_scripts,
+    config=engine_configs(),
+)
+def test_trajectory_matches_the_reference_loop(toy_retriever, query, table, script, config):
+    """run_trajectory walks as reference_trajectory does: every Trajectory
+    field and every temperature sent, on the toy BM25 corpus (no table) and
+    on a table-driven retriever.  The script ends in a stop, so it cannot
+    run out."""
+    retriever = toy_retriever if table is None else TableRetriever(table)
+    backend = ScriptedBackend([render_reply(reply) for reply in script])
+    trajectory = run_trajectory(query, retriever, backend, config)
+    assert walked(trajectory, backend) == walk_reference(query, retriever, script, config)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    table=st.none() | tables,
+    scripts=st.lists(st.tuples(st.sampled_from(START_QUERIES), abstract_scripts), min_size=1, max_size=5),
+    config=engine_configs(),
+)
+def test_batch_matches_a_loop_of_the_reference(toy_retriever, table, scripts, config):
+    """run_batch at batch_size 1-4 gives, query by query, what a plain loop of
+    reference_trajectory gives."""
+    retriever = toy_retriever if table is None else TableRetriever(table)
+    backends = {
+        f"q{i}": ScriptedBackend([render_reply(reply) for reply in script]) for i, (_, script) in enumerate(scripts)
+    }
+    queries = [(f"q{i}", query) for i, (query, _) in enumerate(scripts)]
+    results = run_batch(queries, retriever, backends.__getitem__, config)
+    assert [walked(r.trajectory, backends[r.query_id]) for r in results] == [
+        walk_reference(query, retriever, script, config) for query, script in scripts
+    ]

@@ -374,15 +374,27 @@ class TestAnalyzeTraces:
             ),
             (
                 [transition_line("a", 1, "stop", cause="policy-stop", temperature="hot"), summary_line("a", 0, 0)],
-                "line 1: transition needs a temperature, a number in \\[0, 1\\]",
+                "line 1: transition needs a temperature, a float multiple of 0.1 in \\[0, 1\\]",
             ),
             (
                 [transition_line("a", 1, "stop", cause="policy-stop", temperature=True), summary_line("a", 0, 0)],
-                "line 1: transition needs a temperature, a number in \\[0, 1\\]",
+                "line 1: transition needs a temperature, a float multiple of 0.1 in \\[0, 1\\]",
             ),
             (
                 [transition_line("a", 1, "stop", cause="policy-stop", temperature=1.5), summary_line("a", 0, 0)],
-                "line 1: transition needs a temperature, a number in \\[0, 1\\]",
+                "line 1: transition needs a temperature, a float multiple of 0.1 in \\[0, 1\\]",
+            ),
+            (
+                [transition_line("a", 1, "stop", cause="policy-stop", temperature=0), summary_line("a", 0, 0)],
+                "line 1: transition needs a temperature, a float multiple of 0.1 in \\[0, 1\\]",
+            ),
+            (
+                [transition_line("a", 1, "stop", cause="policy-stop", temperature=0.37), summary_line("a", 0, 0)],
+                "line 1: transition needs a temperature, a float multiple of 0.1 in \\[0, 1\\]",
+            ),
+            (
+                [transition_line("a", 1, "stop", cause="policy-stop", reason="because"), summary_line("a", 0, 0)],
+                "line 1: query 'a' stop has a reason",
             ),
             (
                 [transition_line("a", 1, "refine"), json.dumps({"query_id": "a", "error": "boom"})],
@@ -445,6 +457,9 @@ class TestAnalyzeTraces:
             "string-temperature",
             "boolean-temperature",
             "temperature-above-one",
+            "integer-temperature",
+            "temperature-no-attempt-is-sent-at",
+            "stop-with-a-reason",
             "error-after-transitions",
             "boolean-summary-steps",
             "float-summary-tokens",
