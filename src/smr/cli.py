@@ -96,19 +96,39 @@ def _require_env(var: str) -> str:
     return value
 
 
+def _read_json(path: str, kind: str) -> Any:
+    with open_input(path, kind, ConfigError) as fh:
+        try:
+            return json.load(fh)
+        except json.JSONDecodeError as exc:
+            raise ConfigError(f"{path}: invalid JSON ({exc.msg})") from None
+
+
 class RunPlan:
-    """Everything cmd_run needs, validated up front."""
+    """Everything cmd_run needs, validated up front: the config, then the
+    queries, the script and each API-key variable it names, each read once,
+    here.  The corpus and the dense store wait for build_retriever."""
 
     def __init__(self, config_path: str):
-        with open_input(config_path, "config", ConfigError) as fh:
-            try:
-                raw = json.load(fh)
-            except json.JSONDecodeError as exc:
-                raise ConfigError(f"{config_path}: invalid JSON ({exc.msg})") from None
+        raw = _read_json(config_path, "config")
         try:
             self._parse(raw, Path(config_path).resolve().parent)
         except ConfigError as exc:
             raise ConfigError(f"{config_path}: {exc}") from None
+        self.queries = load_queries(self.queries_path)
+        if self.llm_mode == "script":
+            self.script = _read_json(self.script_path, "script")
+            if not isinstance(self.script, dict):
+                raise ConfigError(f"{self.script_path}: script must be a JSON object")
+            for query_id, steps in self.script.items():
+                if not isinstance(steps, list) or not all(isinstance(s, str) for s in steps):
+                    raise ConfigError(f"{self.script_path}: entry {query_id!r} must be a list of strings")
+            for query_id, _text in self.queries:
+                if query_id not in self.script:
+                    raise ConfigError(f"{self.script_path}: no script for query {query_id!r}")
+        else:
+            self.api_key = _require_env(self.api_key_env)
+        self.embed_api_key = _require_env(self.embed_api_key_env) if self.embed_api_key_env else None
 
     def _parse(self, raw: Any, base: Path) -> None:
         if not isinstance(raw, dict):
@@ -133,6 +153,7 @@ class RunPlan:
         self.engine = _build(EngineConfig, {**engine, "policy": policy_config}, "engine")
 
         retriever = raw["retriever"]
+        self.embed_api_key_env: str | None = None
         modes = [key for key in ("bm25_index", "dense_store") if key in retriever]
         if len(modes) != 1:
             raise ConfigError("retriever needs exactly one of bm25_index or dense_store")
@@ -153,9 +174,8 @@ class RunPlan:
             files["retriever.corpus"] = self.dense_corpus_path
             self.embed_endpoint = _config_str(retriever, "embed_endpoint", "retriever")
             self.embed_model = _config_str(retriever, "embed_model", "retriever")
-            self.embed_api_key_env = (
-                _config_str(retriever, "api_key_env", "retriever") if "api_key_env" in retriever else None
-            )
+            if "api_key_env" in retriever:
+                self.embed_api_key_env = _config_str(retriever, "api_key_env", "retriever")
 
         llm_block = raw["llm"]
         llm_modes = [key for key in ("endpoint", "script") if key in llm_block]
@@ -178,36 +198,14 @@ class RunPlan:
 
     def build_backend_factory(self) -> Callable[[str], ChatBackend]:
         if self.llm_mode == "endpoint":
-            key = _require_env(self.api_key_env)
-            endpoint, model = self.endpoint, self.model
-            return lambda _query_id: HttpBackend(endpoint, model, api_key=key)
-        with open_input(self.script_path, "script", ConfigError) as fh:
-            try:
-                script = json.load(fh)
-            except json.JSONDecodeError as exc:
-                raise ConfigError(f"{self.script_path}: invalid JSON ({exc.msg})") from None
-
-        def check_steps(steps: Any, where: str) -> list[str]:
-            if not isinstance(steps, list) or not all(isinstance(s, str) for s in steps):
-                raise ConfigError(f"{self.script_path}: {where} must be a list of strings")
-            return steps
-
-        if not isinstance(script, dict):
-            raise ConfigError(f"{self.script_path}: script must be a JSON object")
-        table = {qid: check_steps(steps, f"entry {qid!r}") for qid, steps in script.items()}
-
-        def factory(query_id: str) -> ChatBackend:
-            if query_id not in table:
-                raise ConfigError(f"{self.script_path}: no script for query {query_id!r}")
-            return ScriptedBackend(table[query_id])
-
-        return factory
+            return lambda _query_id: HttpBackend(self.endpoint, self.model, api_key=self.api_key)
+        return lambda query_id: ScriptedBackend(self.script[query_id])
 
     def preflight(self) -> None:
         """One cheap endpoint call to fail fast before any query runs."""
         if self.llm_mode != "endpoint":
             return
-        backend = HttpBackend(self.endpoint, self.model, api_key=_require_env(self.api_key_env))
+        backend = HttpBackend(self.endpoint, self.model, api_key=self.api_key)
         backend.complete(ChatRequest(system_text="", user_text="ping", temperature=0.0, max_output_tokens=1))
 
     def build_retriever(self) -> Retriever:
@@ -215,24 +213,17 @@ class RunPlan:
             return Bm25Retriever(build_index(load_corpus(self.index_path)))
         store = load_dense_store(self.dense_store_path)
         doc_store = build_index(load_corpus(self.dense_corpus_path))
-        api_key = _require_env(self.embed_api_key_env) if self.embed_api_key_env else None
-        embedder = HttpEmbedder(self.embed_endpoint, self.embed_model, api_key=api_key)
+        embedder = HttpEmbedder(self.embed_endpoint, self.embed_model, api_key=self.embed_api_key)
         return DenseRetriever(store, doc_store, embedder)
 
 
 def cmd_run(args: argparse.Namespace) -> int:
     plan = RunPlan(args.config)
-    queries = load_queries(plan.queries_path)
     # Fail fast on a dead endpoint before any query is consumed.
     plan.preflight()
-    factory = plan.build_backend_factory()
-    if plan.llm_mode == "script":
-        # A query the script lacks fails here, before any query's work is done.
-        for query_id, _text in queries:
-            factory(query_id)
     retriever = plan.build_retriever()
 
-    results = run_batch(queries, retriever, factory, plan.engine)
+    results = run_batch(plan.queries, retriever, plan.build_backend_factory(), plan.engine)
 
     Path(plan.run_path).parent.mkdir(parents=True, exist_ok=True)
     Path(plan.trace_path).parent.mkdir(parents=True, exist_ok=True)
@@ -257,7 +248,7 @@ def cmd_run(args: argparse.Namespace) -> int:
     print(f"ran {len(results)} queries ({failures} failed), total output tokens {total_tokens}")
     print(f"run -> {plan.run_path}")
     print(f"trace -> {plan.trace_path}")
-    return 1 if failures == len(results) and results else 0
+    return 1 if failures == len(results) else 0
 
 
 def cmd_eval(args: argparse.Namespace) -> int:

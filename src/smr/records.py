@@ -199,18 +199,26 @@ def iter_traces(lines: Iterable[str], name: str) -> Iterator[QueryTrace]:
     temperature no attempt is sent at, a stop_cause the transition's
     action cannot end in (a stop must end in one), a summary that is not the
     one emit_trace writes for the transitions before it, which must end in
-    one with a stop_cause, an error for a query that has transitions, or a
-    record for a query that already ended.
+    one with a stop_cause, an error for a query that has transitions, a
+    record for a query that already ended, or one for a new query before the
+    open one's summary.  From a query's second transition on, it also raises
+    for a rerank that is not a reordering of the state before it, a refine
+    that does not keep the list before it as its prefix, and a refine or
+    rerank whose state equals the one before it (as core.state_equivalent
+    compares them) but does not end in equivalence-stop, or differs and does.
     """
-    pending: dict[str, QueryTrace] = {}
+    trace: QueryTrace | None = None  # the query whose summary or error is still to come
     ended: set[str] = set()
     for lineno, record in iter_jsonl(lines, name, TraceFormatError, _QUERY_ID):
         query_id = query_id_key(record["query_id"], name, lineno, TraceFormatError)
         if query_id in ended:
             raise TraceFormatError(f"{name}: line {lineno}: query {query_id!r} already ended")
-        trace = pending.get(query_id)
         if trace is None:
-            trace = pending[query_id] = QueryTrace(query_id)
+            trace = QueryTrace(query_id)
+        elif trace.query_id != query_id:
+            raise TraceFormatError(
+                f"{name}: line {lineno}: query {trace.query_id!r} has transitions but no summary record"
+            )
         if "error" in record:
             if type(record["error"]) is not str:
                 raise TraceFormatError(f"{name}: line {lineno}: error must be a string")
@@ -247,6 +255,17 @@ def iter_traces(lines: Iterable[str], name: str) -> Iterator[QueryTrace]:
             cause, ends = record.get("stop_cause"), _FINAL_CAUSES[action == "stop"]
             if (action == "stop" or "stop_cause" in record) and cause not in ends:
                 raise TraceFormatError(f"{name}: line {lineno}: a {action} ends in {' or '.join(ends)}, not {cause!r}")
+            if trace.transitions and action != "stop":
+                at = f"{name}: line {lineno}: query {query_id!r} {action}"
+                before, after = pre["doc_ids"], record["doc_ids"]
+                if action == "rerank" and (record["query"] != pre["query"] or sorted(after) != sorted(before)):
+                    raise TraceFormatError(f"{at} is not a reordering of the state before it")
+                if action == "refine" and after[: len(before)] != before:
+                    raise TraceFormatError(f"{at} does not keep the list before it as its prefix")
+                repeats = record["query"].strip() == pre["query"].strip() and after == before
+                if repeats != (cause == "equivalence-stop"):
+                    raise TraceFormatError(f"{at} {'repeats' if repeats else 'changes'} the state before it "
+                                           f"but ends in {cause!r}")
             trace.transitions.append(record)
             continue
         elif "steps" in record:
@@ -273,6 +292,7 @@ def iter_traces(lines: Iterable[str], name: str) -> Iterator[QueryTrace]:
         else:
             raise TraceFormatError(f"{name}: line {lineno}: expected a transition, a summary or an error")
         ended.add(query_id)
-        yield pending.pop(query_id)
-    if pending:
-        raise TraceFormatError(f"{name}: query {next(iter(pending))!r} has transitions but no summary record")
+        yield trace
+        trace = None
+    if trace is not None:
+        raise TraceFormatError(f"{name}: query {trace.query_id!r} has transitions but no summary record")

@@ -14,7 +14,6 @@ import itertools
 import math
 import re
 from collections import defaultdict
-from dataclasses import dataclass, field
 from typing import Callable, Iterable, Mapping, Protocol, Sequence
 
 import numpy as np
@@ -77,7 +76,6 @@ class RowError(ValueError):
         self.row = row
 
 
-@dataclass(frozen=True, eq=False)
 class DenseStore:
     """Document embeddings: row p of matrix is ids[p]'s raw row over its norm.
 
@@ -90,33 +88,29 @@ class DenseStore:
     dense_search scans to pick candidates (N * dim * 4 more bytes).
     """
 
-    ids: tuple[str, ...]
-    matrix: np.ndarray
-    matrix32: np.ndarray = field(init=False, repr=False)
-
-    def __post_init__(self) -> None:
-        if len(self.matrix) != len(self.ids):
-            raise ValueError(f"matrix has {len(self.matrix)} rows, expected {len(self.ids)}")
-        order = sorted(range(len(self.ids)), key=self.ids.__getitem__)
-        matrix = np.array([self.matrix[p] for p in order], dtype=np.float64)  # a copy, divided in place
-        if matrix.ndim != 2 or matrix.size == 0:
-            raise ValueError(f"matrix has shape {matrix.shape}, expected ({len(self.ids)}, dim), both >= 1")
-        norms = np.sqrt(np.einsum("ij,ij->i", matrix, matrix))
+    def __init__(self, ids: Sequence[str], matrix: np.ndarray | Sequence[Sequence[float]]):
+        if len(matrix) != len(ids):
+            raise ValueError(f"matrix has {len(matrix)} rows, expected {len(ids)}")
+        order = sorted(range(len(ids)), key=ids.__getitem__)
+        rows = np.array([matrix[p] for p in order], dtype=np.float64)  # a copy, divided in place
+        if rows.ndim != 2 or rows.size == 0:
+            raise ValueError(f"matrix has shape {rows.shape}, expected ({len(ids)}, dim), both >= 1")
+        norms = np.sqrt(np.einsum("ij,ij->i", rows, rows))
         # A norm under 2**-511 has a square below the smallest normal float,
         # which lost bits to underflow; one that overflows is inf.
         bad = np.flatnonzero(~((norms >= 2.0**-511) & (norms < np.inf)))
         if bad.size:
             p = int(bad[0])
             what = (
-                "holds a non-finite value" if not np.isfinite(matrix[p]).all()
-                else "is all zeros and cannot be normalized" if not matrix[p].any()
+                "holds a non-finite value" if not np.isfinite(rows[p]).all()
+                else "is all zeros and cannot be normalized" if not rows[p].any()
                 else f"has a norm too {'large' if norms[p] > 1 else 'small'} to normalize"
             )
-            raise RowError(f"vector for {self.ids[order[p]]!r} {what}", order[p])
-        matrix /= norms[:, None]
-        object.__setattr__(self, "ids", tuple(self.ids[p] for p in order))
-        object.__setattr__(self, "matrix", matrix)
-        object.__setattr__(self, "matrix32", matrix.astype(np.float32))
+            raise RowError(f"vector for {ids[order[p]]!r} {what}", order[p])
+        rows /= norms[:, None]
+        self.ids = tuple(ids[p] for p in order)
+        self.matrix = rows
+        self.matrix32 = rows.astype(np.float32)
 
 
 def dense_search(store: DenseStore, query_vector: Iterable[float], k: int) -> RankedList:

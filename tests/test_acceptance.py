@@ -16,7 +16,7 @@ import time
 
 import pytest
 
-from smr.cli import RunPlan, load_queries, main
+from smr.cli import RunPlan, main
 from smr.core import Action, Document, RankedList, ReasoningState, StopCause
 from smr.actions import sanitize_rerank
 from smr.engine import EngineConfig, run_batch, run_trajectory, write_trace_file
@@ -292,7 +292,7 @@ SMOKE_ENV = "SMR_SMOKE_CONFIG"
 def test_criterion_10_live_endpoint_smoke():
     plan = RunPlan(os.environ[SMOKE_ENV])
     plan.preflight()
-    queries = load_queries(plan.queries_path)[:3]
+    queries = plan.queries[:3]
     assert queries
     results = run_batch(queries, plan.build_retriever(), plan.build_backend_factory(), plan.engine)
     assert len(results) == len(queries)

@@ -9,7 +9,7 @@ import pytest
 
 import smr.cli
 import smr.engine
-from smr.cli import load_queries, main
+from smr.cli import RunPlan, load_queries, main
 from smr.errors import ConfigError
 from smr.retrieval import build_index, load_corpus, save_index
 
@@ -135,6 +135,35 @@ class TestLoadQueries:
             assert str(excinfo.value) == f"{path}: line 1: query_id must be a string or an integer"
         else:
             assert load_queries(str(path)) == [(loaded_id, "one")]
+
+
+class TestRunPlan:
+    def test_script_lacking_a_query_fails_when_made(self, tmp_path):
+        queries = [{"query_id": "q1", "text": "what is an LLM"}, {"query_id": "q2", "text": "pasta cooking"}]
+        config = build_workspace(tmp_path, queries=queries)
+        with pytest.raises(ConfigError) as caught:
+            RunPlan(str(config))
+        assert str(caught.value) == f"{tmp_path / 'script.json'}: no script for query 'q2'"
+
+    def test_queries_read_when_made(self, tmp_path):
+        plan = RunPlan(str(build_workspace(tmp_path)))
+        assert plan.queries == load_queries(plan.queries_path) == [("q1", "what is an LLM")]
+
+    def test_unset_api_key_fails_when_made(self, tmp_path, endpoint, monkeypatch):
+        monkeypatch.delenv("SMR_API_KEY", raising=False)
+        config = build_workspace(tmp_path, llm_block={"endpoint": endpoint.url, "model": "test-model"})
+        with pytest.raises(ConfigError, match="^environment variable SMR_API_KEY is not set$"):
+            RunPlan(str(config))
+        assert endpoint.received == []
+
+    def test_unset_embed_key_fails_before_the_store_loads(self, tmp_path, monkeypatch):
+        monkeypatch.delenv("SMR_TEST_EMBED_KEY", raising=False)
+        config = build_workspace(tmp_path)
+        raw = json.loads(config.read_text())
+        raw["retriever"] = {**DENSE_BLOCK, "api_key_env": "SMR_TEST_EMBED_KEY"}  # store.jsonl does not exist
+        config.write_text(json.dumps(raw))
+        with pytest.raises(ConfigError, match="^environment variable SMR_TEST_EMBED_KEY is not set$"):
+            RunPlan(str(config))
 
 
 class TestRunCommand:

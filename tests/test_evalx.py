@@ -428,6 +428,64 @@ class TestAnalyzeTraces:
                 ],
                 "line 2: query 'a' stop changes the state",
             ),
+            (
+                [
+                    transition_line("a", 1, "refine"),
+                    transition_line("a", 2, "rerank", cause="step-cap", doc_ids=["d2", "d3"]),
+                    summary_line("a", 2, 0, "step-cap"),
+                ],
+                "line 2: query 'a' rerank is not a reordering of the state before it",
+            ),
+            (
+                [
+                    transition_line("a", 1, "refine"),
+                    transition_line("a", 2, "rerank", cause="step-cap", query="q2", doc_ids=["d2", "d1"]),
+                    summary_line("a", 2, 0, "step-cap"),
+                ],
+                "line 2: query 'a' rerank is not a reordering of the state before it",
+            ),
+            (
+                [
+                    transition_line("a", 1, "refine"),
+                    transition_line("a", 2, "refine", cause="step-cap", query="q2", doc_ids=["d2", "d1", "d3"]),
+                    summary_line("a", 2, 0, "step-cap"),
+                ],
+                "line 2: query 'a' refine does not keep the list before it as its prefix",
+            ),
+            (
+                [
+                    transition_line("a", 1, "refine"),
+                    transition_line("a", 2, "refine", cause="step-cap", query=" q "),
+                    summary_line("a", 2, 0, "step-cap"),
+                ],
+                "line 2: query 'a' refine repeats the state before it but ends in 'step-cap'",
+            ),
+            (
+                [
+                    transition_line("a", 1, "refine"),
+                    transition_line("a", 2, "rerank"),
+                    transition_line("a", 3, "stop", cause="policy-stop"),
+                    summary_line("a", 2, 0),
+                ],
+                "line 2: query 'a' rerank repeats the state before it but ends in None",
+            ),
+            (
+                [
+                    transition_line("a", 1, "refine"),
+                    transition_line("a", 2, "rerank", cause="equivalence-stop", doc_ids=["d2", "d1"]),
+                    summary_line("a", 2, 0, "equivalence-stop"),
+                ],
+                "line 2: query 'a' rerank changes the state before it but ends in 'equivalence-stop'",
+            ),
+            (
+                [
+                    transition_line("a", 1, "refine"),
+                    *trace_for("b", ["stop"], 0),
+                    transition_line("a", 2, "stop", cause="policy-stop"),
+                    summary_line("a", 1, 0),
+                ],
+                "line 2: query 'a' has transitions but no summary record",
+            ),
         ],
         ids=[
             "transition-without-step",
@@ -466,6 +524,13 @@ class TestAnalyzeTraces:
             "boolean-step",
             "stop-changing-the-state",
             "stop-reordering-the-ids",
+            "rerank-changing-the-ids",
+            "rerank-changing-the-query",
+            "refine-moving-a-ranked-id",
+            "refine-repeating-the-state-ending-in-step-cap",
+            "rerank-repeating-the-state-without-a-stop-cause",
+            "rerank-changing-the-state-ending-in-equivalence-stop",
+            "queries-interleaved",
         ],
     )
     def test_malformed_trace_names_file_and_line(self, lines, message):
